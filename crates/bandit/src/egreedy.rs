@@ -65,37 +65,21 @@ impl Policy for EpsilonGreedy {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let n = view.num_events();
-        let pool = ws.score_pool().cloned();
-        let scores = ws.scores_mut(n);
         // RNG draw order is durable state: one coin, then (explore only)
         // one priority per event — identical to the pre-batched path.
-        // Both draws stay serial on this thread even with a pool
-        // installed; only the exploit branch's dot scan fans out.
+        // Both draws stay serial on this thread; only the exploit
+        // branch's dot scan may fan out.
         let explore = self.rng.gen::<f64>() <= self.epsilon;
         if explore {
             self.exploration_rounds += 1;
-            for s in scores.iter_mut() {
+            for s in ws.scores_mut(view.num_events()) {
                 *s = self.rng.gen::<f64>();
             }
         } else {
-            let theta = self.estimator.theta_hat();
-            match pool {
-                Some(pool) if pool.threads() > 1 => {
-                    crate::score_pool::dot_scores_pooled(
-                        &pool,
-                        view.contexts,
-                        theta.as_slice(),
-                        scores,
-                    );
-                }
-                _ => {
-                    for (v, s) in scores.iter_mut().enumerate() {
-                        let x = view.contexts.context(fasea_core::EventId(v));
-                        *s = fasea_linalg::dot_slices(x, theta.as_slice());
-                    }
-                }
-            }
+            let theta = self.estimator.theta_hat().as_slice();
+            ws.fill_scores(view, |range, s| {
+                crate::score_pool::dot_scores(view.contexts, theta, range, s)
+            });
         }
     }
 

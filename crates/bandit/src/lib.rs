@@ -79,7 +79,7 @@ pub use oracle_api::{
 };
 pub use policy::{Policy, SelectionView};
 pub use random::RandomPolicy;
-pub use score_pool::{live_score_workers, ScorePool, SCORE_CHUNK};
+pub use score_pool::{live_score_workers, shared_score_pool, ScorePool, SCORE_CHUNK};
 pub use snapshot::{restore_estimator, save_estimator, SnapshotError, MAGIC as SNAPSHOT_MAGIC};
 pub use static_score::StaticScorePolicy;
 pub use ts::ThompsonSampling;

@@ -45,30 +45,12 @@ impl Policy for Opt {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let n = view.num_events();
-        let pool = ws.score_pool().cloned();
-        let scores = ws.scores_mut(n);
         let model = &self.model;
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                // Per-event arithmetic untouched — bit-equal by
-                // construction.
-                let contexts = view.contexts;
-                let scores_w = crate::score_pool::ShardWriter::new(scores);
-                pool.run(n, crate::SCORE_CHUNK, &|_c, range| {
-                    // SAFETY: pool chunk ranges are disjoint.
-                    let s = unsafe { scores_w.slice(range.clone()) };
-                    for (off, v) in range.enumerate() {
-                        s[off] = model.expected_reward(contexts, fasea_core::EventId(v));
-                    }
-                });
+        ws.fill_scores(view, |range, s| {
+            for (s, v) in s.iter_mut().zip(range) {
+                *s = model.expected_reward(view.contexts, fasea_core::EventId(v));
             }
-            _ => {
-                for (v, s) in scores.iter_mut().enumerate() {
-                    *s = model.expected_reward(view.contexts, fasea_core::EventId(v));
-                }
-            }
-        }
+        });
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

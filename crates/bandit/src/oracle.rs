@@ -1,6 +1,5 @@
 //! Oracle-Greedy (Algorithm 2) and an exhaustive reference oracle.
 
-use crate::score_pool::{ScorePool, ShardWriter, SCORE_CHUNK};
 use fasea_core::{Arrangement, ConflictGraph, EventId};
 
 /// Algorithm 2 of the paper: visit events in non-increasing order of
@@ -163,7 +162,7 @@ fn full_sort(scores: &[f64], n: usize, order: &mut Vec<u32>) {
 
 /// The Algorithm 2 greedy pass over a ranked candidate prefix: visit in
 /// order, skip full or conflicting events, stop at `c_u`. Shared by the
-/// serial and pooled oracles so their scans are the same code.
+/// serial and gathered oracles so their scans are the same code.
 fn greedy_scan(
     order: &[u32],
     conflicts: &ConflictGraph,
@@ -191,117 +190,6 @@ fn greedy_scan(
     }
 }
 
-/// [`greedy_into`] with the candidate ranking sharded over a
-/// [`ScorePool`] — **bit-identical arrangements** to the serial oracle
-/// for finite scores. Reached through [`crate::GreedyOracle`] when the
-/// oracle workspace carries a multi-thread pool.
-///
-/// Each pool chunk runs the same bounded-insertion top-k the serial
-/// path uses, restricted to its own `SCORE_CHUNK`-sized event range,
-/// into its own fixed-size slot of `shard_order` (so shards never
-/// contend). The caller then merges serially: concatenate every
-/// shard's candidates, sort them under the *same* total order
-/// ([`ranks_before`]: score descending, index ascending), truncate to
-/// `k`.
-///
-/// Why the merge equals the serial top-k: the index tiebreak makes the
-/// ranking a strict total order, so the global top-`k` is a unique set;
-/// every global top-`k` member is also in the top-`k` of its own shard
-/// (it beats everything it beats globally), hence the union of shard
-/// candidates contains the global top-`k`, and sorting + truncating
-/// recovers exactly it, in exactly the serial visiting order. The
-/// retry-on-conflict widening (×4, then the serial full-sort fallback
-/// past [`FULL_SORT_CUTOFF`]) and the greedy scan itself are the same
-/// code as the serial oracle.
-///
-/// With NaN scores no total order exists and the shard decomposition —
-/// like the serial bounded-insertion pass itself — has unspecified
-/// ranking; arrangements from NaN scores are not meaningful on either
-/// path.
-///
-/// `shard_order` / `shard_counts` are reused scratch owned by
-/// [`crate::ScoreWorkspace`]; once grown to the instance size the call
-/// allocates nothing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_pooled_into(
-    scores: &[f64],
-    conflicts: &ConflictGraph,
-    remaining: &[u32],
-    user_capacity: u32,
-    order: &mut Vec<u32>,
-    mask: &mut Vec<u64>,
-    shard_order: &mut Vec<u32>,
-    shard_counts: &mut Vec<u32>,
-    pool: &ScorePool,
-    out: &mut Arrangement,
-) {
-    let n = scores.len();
-    assert_eq!(n, conflicts.num_events(), "oracle_greedy: |V| mismatch");
-    assert_eq!(n, remaining.len(), "oracle_greedy: capacity slice mismatch");
-    out.clear();
-    if user_capacity == 0 || n == 0 {
-        return;
-    }
-    let num_chunks = n.div_ceil(SCORE_CHUNK);
-    let mut k = (user_capacity as usize).saturating_mul(4).max(32).min(n);
-    loop {
-        if k < n && k <= FULL_SORT_CUTOFF {
-            // Parallel per-shard bounded top-k into disjoint fixed
-            // slots, then a serial same-order merge.
-            shard_order.resize(num_chunks * k, 0);
-            shard_counts.resize(num_chunks, 0);
-            {
-                let order_writer = ShardWriter::new(shard_order);
-                let count_writer = ShardWriter::new(shard_counts);
-                pool.run(n, SCORE_CHUNK, &|c, range| {
-                    // SAFETY: chunk indices are claimed exactly once,
-                    // so slot `c` and count `c` are touched by exactly
-                    // one worker.
-                    let slot = unsafe { order_writer.slice(c * k..(c + 1) * k) };
-                    let count = unsafe { count_writer.slice(c..c + 1) };
-                    let mut len = 0usize;
-                    for v in range.start as u32..range.end as u32 {
-                        if len == k {
-                            if !ranks_before(scores, v, slot[k - 1]) {
-                                continue;
-                            }
-                            len -= 1;
-                        }
-                        let pos = slot[..len].partition_point(|&o| ranks_before(scores, o, v));
-                        slot.copy_within(pos..len, pos + 1);
-                        slot[pos] = v;
-                        len += 1;
-                    }
-                    count[0] = len as u32;
-                });
-            }
-            order.clear();
-            for c in 0..num_chunks {
-                let live = shard_counts[c] as usize;
-                order.extend_from_slice(&shard_order[c * k..c * k + live]);
-            }
-            order.sort_unstable_by(|&a, &b| {
-                scores[b as usize]
-                    .partial_cmp(&scores[a as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            order.truncate(k);
-        } else {
-            // Full ranking: the serial fallback (rare; only when the
-            // widened prefix outgrew the cutoff without filling `c_u`).
-            k = n;
-            full_sort(scores, n, order);
-        }
-
-        greedy_scan(order, conflicts, remaining, user_capacity, mask, out);
-        if out.len() >= user_capacity as usize || k == n {
-            return;
-        }
-        k = k.saturating_mul(4).min(n);
-    }
-}
-
 /// Bounded-insertion top-`k` over an arbitrary *subset* of events: the
 /// at most `min(k, members.len())` best-ranked members under the
 /// oracle's total order (score descending, index ascending on ties),
@@ -310,7 +198,7 @@ pub(crate) fn greedy_pooled_into(
 /// shard actor runs it over the event ids it owns and ships the result
 /// to the coordinator.
 ///
-/// The same bounded-insertion scan as the serial and pooled oracles —
+/// The same bounded-insertion scan as the serial oracle —
 /// one comparison per member, an O(k) shift only when a member beats
 /// the current k-th best — so a shard's pass is O(|members|) for the
 /// k values the oracle asks for. (This per-shard primitive is a public
@@ -344,18 +232,19 @@ pub fn subset_top_k(scores: &[f64], members: &[u32], k: usize, out: &mut Vec<u32
 /// `gather` is called with the prefix size `k` and must append every
 /// shard's [`subset_top_k`] candidates for that `k` to the supplied
 /// buffer (order across shards is irrelevant — the merge re-sorts).
-/// The merge is the same as [`greedy_pooled_into`]'s: sort the
-/// union under the oracle's total order ([`ranks_before`]: score
-/// descending, index ascending), truncate to `k`, greedy-scan. The
-/// correctness argument is identical — the index tiebreak makes the
-/// ranking a strict total order, every global top-`k` member is in its
-/// own shard's top-`k`, so the union contains the global top-`k` and
-/// sort + truncate recovers exactly the serial visiting prefix.
+/// The merge sorts the union under the oracle's total order
+/// ([`ranks_before`]: score descending, index ascending), truncates to
+/// `k`, and greedy-scans. Why that equals the serial ranking: the index
+/// tiebreak makes the ranking a strict total order, so the global
+/// top-`k` is a unique set; every global top-`k` member is in its own
+/// shard's top-`k` (it beats everything it beats globally), so the
+/// union contains the global top-`k` and sort + truncate recovers
+/// exactly the serial visiting prefix.
 ///
 /// Retry-on-conflict widening (×4) re-invokes `gather` with the larger
 /// `k`; past [`FULL_SORT_CUTOFF`] (or at `k = n`) the coordinator falls
 /// back to its local full sort and the shards are not consulted — the
-/// same fallback the serial and pooled paths take.
+/// same fallback the serial path takes.
 ///
 /// # Panics
 /// Panics if `scores.len()`, the conflict graph and `remaining`
@@ -704,78 +593,6 @@ mod tests {
         let expected: Vec<usize> = (150..155).collect();
         assert_eq!(ids(&out), expected);
         assert_eq!(out, greedy(&scores, &g, &remaining, cu));
-    }
-
-    /// Drives both oracle forms over the same instance and asserts
-    /// equal arrangements.
-    fn assert_pooled_matches_serial(
-        scores: &[f64],
-        conflicts: &ConflictGraph,
-        remaining: &[u32],
-        cu: u32,
-        pool: &ScorePool,
-    ) {
-        let serial = greedy(scores, conflicts, remaining, cu);
-        let mut order = Vec::new();
-        let mut mask = Vec::new();
-        let mut shard_order = Vec::new();
-        let mut shard_counts = Vec::new();
-        let mut out = Arrangement::empty();
-        greedy_pooled_into(
-            scores,
-            conflicts,
-            remaining,
-            cu,
-            &mut order,
-            &mut mask,
-            &mut shard_order,
-            &mut shard_counts,
-            pool,
-            &mut out,
-        );
-        assert_eq!(out, serial, "pooled oracle diverged (cu={cu})");
-    }
-
-    #[test]
-    fn pooled_matches_serial_across_shapes() {
-        let pool = ScorePool::new(3);
-        // Multi-chunk with a ragged tail, pseudo-random scores, some
-        // duplicate values (tiebreak exercised), sparse conflicts.
-        let n = 2 * SCORE_CHUNK + 77;
-        let scores: Vec<f64> = (0..n)
-            .map(|i| (((i as u64).wrapping_mul(2654435761) >> 7) % 1000) as f64 / 10.0)
-            .collect();
-        let pairs: Vec<(usize, usize)> = (0..n / 10).map(|i| (i, i + n / 2)).collect();
-        let g = ConflictGraph::from_pairs(n, &pairs);
-        let remaining: Vec<u32> = (0..n).map(|i| (i % 3) as u32).collect();
-        for cu in [0u32, 1, 5, 64] {
-            assert_pooled_matches_serial(&scores, &g, &remaining, cu, &pool);
-        }
-    }
-
-    #[test]
-    fn pooled_matches_serial_small_and_empty() {
-        let pool = ScorePool::new(4);
-        let g = ConflictGraph::from_pairs(4, &[(0, 1)]);
-        assert_pooled_matches_serial(&[1.10, 0.49, 0.82, 2.00], &g, &[1; 4], 2, &pool);
-        let g0 = ConflictGraph::new(0);
-        assert_pooled_matches_serial(&[], &g0, &[], 3, &pool);
-    }
-
-    #[test]
-    fn pooled_matches_serial_through_retry_widening() {
-        // The dry-prefix instances that force the ×4 widening and the
-        // full-sort fallback, pushed past one chunk.
-        let pool = ScorePool::new(2);
-        let n = SCORE_CHUNK + 300;
-        let scores: Vec<f64> = (0..n).map(|i| (n - i) as f64).collect();
-        // All but the tail full: the first prefixes are dry.
-        let mut remaining = vec![0u32; n];
-        for r in remaining.iter_mut().skip(n - 50) {
-            *r = 10;
-        }
-        let g = ConflictGraph::new(n);
-        assert_pooled_matches_serial(&scores, &g, &remaining, 5, &pool);
     }
 
     /// Drives the dist oracle over `shards` disjoint member lists

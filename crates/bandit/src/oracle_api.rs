@@ -10,7 +10,7 @@
 //! hard-wired through [`crate::ScoreWorkspace::arrange_into`], the
 //! durable service and the shard coordinator. The trait turns the
 //! arrangement step into a seam: policies score, the installed oracle
-//! arranges, and every layer (serial, pooled, sharded, durable replay)
+//! arranges, and every layer (in-process, sharded, durable replay)
 //! dispatches through the same object-safe interface. The free
 //! functions lived on for one release as `#[deprecated]` thin wrappers
 //! and have since been removed; the trait is the only entry point.
@@ -22,8 +22,8 @@
 //! ambient state — because the WAL `Propose` records are verified on
 //! recovery by re-running the policy *and* the installed oracle and
 //! cross-checking the arrangement. [`GreedyOracle`] additionally
-//! guarantees that the serial, pooled and gathered paths are bit-equal
-//! to each other; [`TabuOracle`] guarantees feasibility
+//! guarantees that the serial and gathered paths are bit-equal to each
+//! other; [`TabuOracle`] guarantees feasibility
 //! (conflict-free, capacity-respecting, `≤ c_u` events) and determinism
 //! but deliberately trades the greedy visiting order for local-search
 //! quality.
@@ -44,8 +44,7 @@
 //! assert_eq!(out.events(), &[EventId(3), EventId(0)]);
 //! ```
 
-use crate::oracle::{greedy_dist_into, greedy_into, greedy_pooled_into};
-use crate::score_pool::ScorePool;
+use crate::oracle::{greedy_dist_into, greedy_into};
 use fasea_core::{Arrangement, ConflictGraph, EventId};
 use std::sync::Arc;
 
@@ -56,31 +55,18 @@ use std::sync::Arc;
 /// use and is reused afterwards, so a steady-state arrangement performs
 /// zero heap allocations regardless of the installed oracle (the
 /// counting-allocator tests assert this through the policy path).
-///
-/// The workspace optionally carries a shared [`ScorePool`]
-/// ([`OracleWorkspace::set_score_pool`]): with more than one thread,
-/// [`GreedyOracle`] shards its candidate ranking over the pool —
-/// bit-identical to the serial ranking by the merge argument in the
-/// `oracle` module.
 #[derive(Debug, Clone, Default)]
 pub struct OracleWorkspace {
     /// Ranked candidate prefix (the oracle's visiting order).
     pub(crate) order: Vec<u32>,
     /// Conflict bitmask words for the greedy scan.
     pub(crate) mask: Vec<u64>,
-    /// Per-shard top-k candidate ids for the pooled ranking
-    /// (`num_chunks × k`, fixed-size slots).
-    pub(crate) shard_order: Vec<u32>,
-    /// Number of live candidates per shard slot.
-    pub(crate) shard_counts: Vec<u32>,
     /// Tabu search: the current working arrangement.
     pub(crate) current: Vec<u32>,
     /// Tabu search: the best arrangement seen so far.
     pub(crate) best: Vec<u32>,
     /// Tabu search: recently removed events, oldest first.
     pub(crate) tabu: Vec<u32>,
-    /// Optional shared scoring pool for the sharded greedy ranking.
-    pub(crate) pool: Option<Arc<ScorePool>>,
 }
 
 impl OracleWorkspace {
@@ -89,24 +75,10 @@ impl OracleWorkspace {
         Self::default()
     }
 
-    /// Installs (or removes, with `None`) the shared worker pool used
-    /// by [`GreedyOracle`] for the sharded candidate ranking. `None` —
-    /// and any pool with `threads() ≤ 1` — means the serial ranking.
-    pub fn set_score_pool(&mut self, pool: Option<Arc<ScorePool>>) {
-        self.pool = pool;
-    }
-
-    /// The installed scoring pool, if any.
-    pub fn score_pool(&self) -> Option<&Arc<ScorePool>> {
-        self.pool.as_ref()
-    }
-
     /// Approximate bytes held by the workspace buffers.
     pub fn state_bytes(&self) -> usize {
         self.order.len() * std::mem::size_of::<u32>()
             + self.mask.len() * std::mem::size_of::<u64>()
-            + self.shard_order.len() * std::mem::size_of::<u32>()
-            + self.shard_counts.len() * std::mem::size_of::<u32>()
             + (self.current.len() + self.best.len() + self.tabu.len()) * std::mem::size_of::<u32>()
     }
 }
@@ -178,8 +150,6 @@ pub trait Oracle: Send + Sync + std::fmt::Debug {
 /// path produces **bit-equal** arrangements:
 ///
 /// * serial: the bounded-insertion top-k prefix ranking;
-/// * pooled (a [`ScorePool`] with `threads() > 1` installed in the
-///   workspace): the per-chunk top-k + same-comparator serial merge;
 /// * gathered ([`Oracle::arrange_gathered`]): the external-shard
 ///   sort-merge-truncate over per-shard [`crate::subset_top_k`] passes.
 ///
@@ -202,37 +172,15 @@ impl Oracle for GreedyOracle {
         ws: &mut OracleWorkspace,
         out: &mut Arrangement,
     ) {
-        let OracleWorkspace {
-            order,
-            mask,
-            shard_order,
-            shard_counts,
-            pool,
-            ..
-        } = ws;
-        match pool {
-            Some(pool) if pool.threads() > 1 => greedy_pooled_into(
-                scores,
-                conflicts,
-                remaining,
-                user_capacity,
-                order,
-                mask,
-                shard_order,
-                shard_counts,
-                pool,
-                out,
-            ),
-            _ => greedy_into(
-                scores,
-                conflicts,
-                remaining,
-                user_capacity,
-                order,
-                mask,
-                out,
-            ),
-        }
+        greedy_into(
+            scores,
+            conflicts,
+            remaining,
+            user_capacity,
+            &mut ws.order,
+            &mut ws.mask,
+            out,
+        );
     }
 
     fn arrange_gathered(

@@ -17,8 +17,7 @@
 //!   order.
 //! * Each chunk writes a **disjoint** sub-slice of the caller's output
 //!   buffers ([`ShardWriter`]), so there is no reduction whose order
-//!   could vary; merges (the oracle's per-shard top-k) happen serially
-//!   on the caller thread afterwards.
+//!   could vary.
 //! * RNG-consuming score paths (TS posterior draws, eGreedy coins and
 //!   exploration priorities, Random priorities) never enter the pool —
 //!   they stay on the caller thread in the exact pre-parallel draw
@@ -30,12 +29,16 @@
 //! condvars are futex-based) — the zero-alloc steady state of the
 //! batched scoring path extends to the parallel path, which the
 //! counting-allocator test in `tests/alloc_free_parallel.rs` asserts.
-//! The caller participates in chunk execution, so `threads = 1` (or a
-//! pool that is simply absent) degrades to the serial path.
+//! The caller participates in chunk execution, so `threads = 1`
+//! degrades to the serial path.
+//!
+//! Nobody sizes a pool by hand: [`crate::ScoreWorkspace`] decides per
+//! view with [`pool_pays_off`] and, when pooling pays, borrows the one
+//! process-wide [`shared_score_pool`], sized to the host's cores.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 /// Events per parallel chunk. A multiple of [`fasea_linalg::QF_LANES`]
 /// (so chunk starts coincide with serial lane-group starts — the
@@ -47,6 +50,43 @@ const _: () = assert!(
     SCORE_CHUNK.is_multiple_of(fasea_linalg::QF_LANES),
     "SCORE_CHUNK must be a multiple of the kernel lane width"
 );
+
+/// Smallest `|V|·d` the automatic choice scores through the shared
+/// pool. Measured by the `scoring_hot_path` bench on a 2-core host
+/// (`BENCH_scoring.json`): the smallest measured `|V|·d` at which a
+/// 2-thread pool lost no more than 1% to serial on any run, for UCB
+/// (`d²` work per event) and TS (`d` per event) alike. Below it the
+/// dispatch cost more than the second core saved on some runs.
+pub(crate) const POOL_MIN_WORK: usize = 100_000;
+
+/// The automatic scoring choice: does a view of `num_events × dim`
+/// score faster through a pool on a host with `cores` cores? Never on
+/// one core, never for a view of a single chunk (there is nothing to
+/// split), otherwise once the work reaches [`POOL_MIN_WORK`].
+pub(crate) fn pool_pays_off(num_events: usize, dim: usize, cores: usize) -> bool {
+    cores > 1 && num_events > SCORE_CHUNK && num_events * dim >= POOL_MIN_WORK
+}
+
+/// The host's available parallelism, read once per process.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The process-wide pool automatic scoring uses, sized to the host's
+/// cores. The process keeps only a [`Weak`] handle: the pool lives while
+/// some workspace holds it and is dropped — its workers joined — when
+/// the last one lets go; the next call builds a fresh one.
+pub fn shared_score_pool() -> Arc<ScorePool> {
+    static SHARED: Mutex<Weak<ScorePool>> = Mutex::new(Weak::new());
+    let mut slot = SHARED.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(pool) = slot.upgrade() {
+        return pool;
+    }
+    let pool = Arc::new(ScorePool::new(host_cores()));
+    *slot = Arc::downgrade(&pool);
+    pool
+}
 
 /// Live pool workers across the whole process — the serving layer's
 /// drain test asserts this returns to zero after a graceful shutdown,
@@ -96,6 +136,11 @@ struct Shared {
     pending: AtomicUsize,
     /// Set if a per-chunk closure panicked; the caller re-raises.
     panicked: AtomicBool,
+    /// Held by the caller whose job the workers are running; a second
+    /// caller that finds it set runs its chunks itself. Taken with an
+    /// `Acquire` swap, released with a `Release` store after the job is
+    /// cleared, so the next owner sees the previous dispatch finished.
+    busy: AtomicBool,
     /// Workers that have completed OS-level thread startup and entered
     /// the dispatch loop (see [`ScorePool::wait_ready`]).
     started: AtomicUsize,
@@ -187,12 +232,11 @@ fn worker_loop(shared: Arc<Shared>) {
 /// A persistent worker pool for deterministic intra-round parallel
 /// scoring (see the module docs for the determinism argument).
 ///
-/// The pool travels inside [`crate::ScoreWorkspace`] as an
-/// `Option<Arc<ScorePool>>`, so one pool is shared by every policy of a
-/// run and survives the workspace round-trip through
-/// [`crate::Policy::select_into`]. Dropping the last `Arc` signals and
-/// joins all workers — graceful service drains lean on this (asserted
-/// via [`live_score_workers`]).
+/// Workspaces hold the pool as an `Arc` ([`shared_score_pool`], or one
+/// forced through [`crate::ScoreWorkspace::set_score_pool`]), so one
+/// pool serves every policy in the process. Dropping the last `Arc`
+/// signals and joins all workers — graceful service drains lean on this
+/// (asserted via [`live_score_workers`]).
 pub struct ScorePool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -219,6 +263,7 @@ impl ScorePool {
             claim: AtomicU64::new(0),
             pending: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
+            busy: AtomicBool::new(false),
             started: AtomicUsize::new(0),
         });
         let handles = (0..threads - 1)
@@ -235,13 +280,6 @@ impl ScorePool {
             handles,
             threads,
         }
-    }
-
-    /// The conventional constructor for the `--score-threads N` knob:
-    /// `None` for `threads ≤ 1` (serial scoring, today's default),
-    /// otherwise a shared pool ready to install into policy workspaces.
-    pub fn shared(threads: usize) -> Option<Arc<ScorePool>> {
-        (threads > 1).then(|| Arc::new(ScorePool::new(threads)))
     }
 
     /// Total participants (workers + caller) this pool was sized for.
@@ -274,8 +312,11 @@ impl ScorePool {
     /// Steady-state allocation-free: dispatch uses the pre-spawned
     /// workers, a condvar, and atomics only.
     ///
-    /// Calls are serialized internally; `f` must be `Sync` because
-    /// multiple threads execute it concurrently on disjoint chunks.
+    /// One caller at a time owns the workers. A caller that finds them
+    /// busy runs all of its chunks itself, in order — the same chunk
+    /// geometry, so the same bits — instead of waiting. `f` must be
+    /// `Sync` because multiple threads execute it concurrently on
+    /// disjoint chunks.
     ///
     /// # Panics
     /// Re-raises (as a panic on the caller) if any per-chunk closure
@@ -286,6 +327,13 @@ impl ScorePool {
             return;
         }
         let num_chunks = n.div_ceil(chunk_size);
+        if self.shared.busy.swap(true, Ordering::Acquire) {
+            for c in 0..num_chunks {
+                let start = c * chunk_size;
+                f(c, start..(start + chunk_size).min(n));
+            }
+            return;
+        }
         // SAFETY (lifetime erasure): `run` blocks until every chunk of
         // this epoch completes, so `f` outlives all dereferences; the
         // epoch check in `claim_chunk` stops stale workers from
@@ -321,6 +369,7 @@ impl ScorePool {
         // Nobody dereferences the erased pointer past this point.
         gate.job = None;
         drop(gate);
+        self.shared.busy.store(false, Ordering::Release);
         if self.shared.panicked.swap(false, Ordering::AcqRel) {
             panic!("ScorePool: a per-chunk scoring closure panicked");
         }
@@ -389,27 +438,19 @@ impl<T> ShardWriter<T> {
     }
 }
 
-/// The chunked form of the per-event dot-product score scan shared by
-/// Exploit, TS (after its serial posterior draw) and eGreedy's exploit
-/// branch: `scores[v] = ⟨x_v, theta⟩` for all events. Per-event
-/// arithmetic is untouched, so this is trivially bit-equal to the
-/// serial loop.
-pub(crate) fn dot_scores_pooled(
-    pool: &ScorePool,
+/// `scores[i] = ⟨x_v, theta⟩` for the `i`-th event `v` of `range` — the
+/// dot-product score scan shared by Exploit, TS (after its serial
+/// posterior draw) and eGreedy's exploit branch, run over the whole
+/// event range or one pool chunk of it.
+pub(crate) fn dot_scores(
     contexts: &fasea_core::ContextMatrix,
     theta: &[f64],
+    range: Range<usize>,
     scores: &mut [f64],
 ) {
-    let n = scores.len();
-    let scores_w = ShardWriter::new(scores);
-    pool.run(n, SCORE_CHUNK, &|_c, range| {
-        // SAFETY: pool chunk ranges are disjoint.
-        let s = unsafe { scores_w.slice(range.clone()) };
-        for (off, v) in range.enumerate() {
-            let x = contexts.context(fasea_core::EventId(v));
-            s[off] = fasea_linalg::dot_slices(x, theta);
-        }
-    });
+    for (s, v) in scores.iter_mut().zip(range) {
+        *s = fasea_linalg::dot_slices(contexts.context(fasea_core::EventId(v)), theta);
+    }
 }
 
 #[cfg(test)]
@@ -478,10 +519,65 @@ mod tests {
     }
 
     #[test]
-    fn shared_gates_on_thread_count() {
-        assert!(ScorePool::shared(0).is_none());
-        assert!(ScorePool::shared(1).is_none());
-        assert_eq!(ScorePool::shared(4).unwrap().threads(), 4);
+    fn cut_over_pins_the_benchmark_shapes() {
+        for cores in [2, 4, 64] {
+            // The served and model-store shapes stay serial...
+            assert!(!pool_pays_off(200, 5, cores));
+            assert!(!pool_pays_off(500, 20, cores));
+            assert!(!pool_pays_off(100, 8, cores));
+            // ...and the wide in-process shape pools.
+            assert!(pool_pays_off(5000, 20, cores));
+        }
+        // One core never pools, however wide the view.
+        for (n, d) in [(5000, 20), (100_000, 20), (1_000_000, 5)] {
+            assert!(!pool_pays_off(n, d, 1));
+        }
+        // A single chunk has nothing to split.
+        assert!(!pool_pays_off(SCORE_CHUNK, 1024, 8));
+    }
+
+    #[test]
+    fn shared_pool_is_one_per_process_and_sized_to_the_host() {
+        let a = shared_score_pool();
+        let b = shared_score_pool();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.threads(), host_cores());
+    }
+
+    #[test]
+    fn concurrent_callers_each_run_every_chunk_once() {
+        // Caller A's chunks 0 and 1 occupy both participants of a
+        // 2-thread pool (A's thread and the worker) until caller B's
+        // whole call has returned, so the calls overlap while A's
+        // chunks 2.. are still unclaimed. Every chunk of both calls
+        // must run exactly once.
+        const CHUNKS: usize = 16;
+        let n = CHUNKS * SCORE_CHUNK;
+        let pool = ScorePool::new(2);
+        let a_running = std::sync::Barrier::new(3);
+        let b_returned = std::sync::Barrier::new(3);
+        let a_hits: [AtomicUsize; CHUNKS] = Default::default();
+        let b_hits: [AtomicUsize; CHUNKS] = Default::default();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run(n, SCORE_CHUNK, &|c, _| {
+                    if c < 2 {
+                        a_running.wait();
+                        b_returned.wait();
+                    }
+                    a_hits[c].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            a_running.wait();
+            pool.run(n, SCORE_CHUNK, &|c, _| {
+                b_hits[c].fetch_add(1, Ordering::Relaxed);
+            });
+            b_returned.wait();
+        });
+        for (c, (a, b)) in a_hits.iter().zip(&b_hits).enumerate() {
+            assert_eq!(a.load(Ordering::Relaxed), 1, "caller A, chunk {c}");
+            assert_eq!(b.load(Ordering::Relaxed), 1, "caller B, chunk {c}");
+        }
     }
 
     #[test]

@@ -65,23 +65,8 @@ impl Policy for StaticScorePolicy {
             n,
             "StaticScorePolicy: score vector does not match |V|"
         );
-        let pool = ws.score_pool().cloned();
-        let out = ws.scores_mut(n);
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                // A chunked memcpy — bit-equal trivially; parallelised
-                // so the pooled path is exercised uniformly across
-                // policies.
-                let src = &self.scores;
-                let scores_w = crate::score_pool::ShardWriter::new(out);
-                pool.run(n, crate::SCORE_CHUNK, &|_c, range| {
-                    // SAFETY: pool chunk ranges are disjoint.
-                    let s = unsafe { scores_w.slice(range.clone()) };
-                    s.copy_from_slice(&src[range]);
-                });
-            }
-            _ => out.copy_from_slice(&self.scores),
-        }
+        let src = &self.scores;
+        ws.fill_scores(view, |range, s| s.copy_from_slice(&src[range]));
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

@@ -86,7 +86,6 @@ impl Policy for ThompsonSampling {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let n = view.num_events();
         // TS's posterior sample is inherently allocating (Cholesky of Y
         // plus the sampled θ̃); the zero-alloc bar applies to the
         // deterministic-score policies only. RNG draw order (d Gaussians
@@ -100,25 +99,11 @@ impl Policy for ThompsonSampling {
         let theta_tilde =
             sample_gaussian_with_precision_factor(&theta_hat, q, &chol, &mut self.rng);
         // The posterior draw above consumed its d Gaussians serially on
-        // this thread; only the deterministic dot scan fans out.
-        let pool = ws.score_pool().cloned();
-        let scores = ws.scores_mut(n);
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                crate::score_pool::dot_scores_pooled(
-                    &pool,
-                    view.contexts,
-                    theta_tilde.as_slice(),
-                    scores,
-                );
-            }
-            _ => {
-                for (v, s) in scores.iter_mut().enumerate() {
-                    let x = view.contexts.context(fasea_core::EventId(v));
-                    *s = fasea_linalg::dot_slices(x, theta_tilde.as_slice());
-                }
-            }
-        }
+        // this thread; only the deterministic dot scan may fan out.
+        let theta_tilde = theta_tilde.as_slice();
+        ws.fill_scores(view, |range, s| {
+            crate::score_pool::dot_scores(view.contexts, theta_tilde, range, s)
+        });
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

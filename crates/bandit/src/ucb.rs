@@ -64,51 +64,21 @@ impl Policy for LinUcb {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let n = view.num_events();
         let alpha = self.alpha;
-        // Clone the pool handle before borrowing the buffers so the
-        // workspace borrow stays free for the slices.
-        let pool = ws.score_pool().cloned();
-        let (scores, widths) = ws.scores_and_widths_mut(n);
+        let (ctx, dim) = (view.contexts.as_slice(), view.dim());
         // θ̂ and Y⁻¹ borrowed together: no per-round clone, and the
-        // width pass runs matrix-at-a-time over the whole context block.
+        // width pass runs matrix-at-a-time over the context block.
         let (theta, sm) = self.estimator.theta_and_inverse();
-        match pool {
-            Some(pool) if pool.threads() > 1 => {
-                // Sharded fused pass: every SCORE_CHUNK range starts
-                // lane-aligned, so the per-chunk kernel calls write the
-                // exact bits of the serial full-range call.
-                let ctx = view.contexts.as_slice();
-                let dim = view.dim();
-                let theta = theta.as_slice();
-                let scores_w = crate::score_pool::ShardWriter::new(scores);
-                let widths_w = crate::score_pool::ShardWriter::new(widths);
-                pool.run(n, crate::SCORE_CHUNK, &|_c, range| {
-                    // SAFETY: pool chunk ranges are disjoint.
-                    let s = unsafe { scores_w.slice(range.clone()) };
-                    let w = unsafe { widths_w.slice(range.clone()) };
-                    sm.widths_and_dots_range_into(ctx, dim, theta, range.start, w, s);
-                    for (si, wi) in s.iter_mut().zip(w.iter()) {
-                        *si += alpha * wi;
-                    }
-                });
+        let theta = theta.as_slice();
+        // One fused pass per range: point estimates land in `s`, widths
+        // in `w`, then the α-combine. Every range starts lane-aligned,
+        // so a pooled chunk writes the exact bits of the full-range call.
+        ws.fill_scores_and_widths(view, |range, s, w| {
+            sm.widths_and_dots_range_into(ctx, dim, theta, range.start, w, s);
+            for (si, wi) in s.iter_mut().zip(w.iter()) {
+                *si += alpha * wi;
             }
-            _ => {
-                // One fused pass: point estimates land in `scores`,
-                // widths in `widths`, then the α-combine runs over the
-                // two buffers.
-                sm.widths_and_dots_into(
-                    view.contexts.as_slice(),
-                    view.dim(),
-                    theta.as_slice(),
-                    widths,
-                    scores,
-                );
-                for v in 0..n {
-                    scores[v] += alpha * widths[v];
-                }
-            }
-        }
+        });
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

@@ -1,7 +1,9 @@
 //! Reusable per-policy scoring scratch for the batched selection path.
 
+use crate::score_pool::{host_cores, pool_pays_off, shared_score_pool, ShardWriter, SCORE_CHUNK};
 use crate::{Oracle, OracleWorkspace, ScorePool, SelectionView};
 use fasea_core::Arrangement;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A pluggable replacement for the oracle ranking step of
@@ -79,20 +81,26 @@ pub trait Arranger: Send + Sync + std::fmt::Debug {
 ///    the sharded coordinator's distributed ranking;
 /// 2. an installed [`Oracle`] ([`ScoreWorkspace::set_oracle`]) — e.g.
 ///    [`crate::TabuOracle`], or an explicit [`crate::GreedyOracle`];
-/// 3. the built-in default: [`crate::GreedyOracle`] semantics (serial,
-///    or pooled when a multi-thread [`ScorePool`] is installed) —
+/// 3. the built-in default: [`crate::GreedyOracle`] semantics —
 ///    bit-identical to an explicitly installed greedy oracle.
 ///
 /// ## Parallelism
 ///
-/// The workspace optionally carries a shared [`ScorePool`]
-/// ([`ScoreWorkspace::set_score_pool`]). When present with more than
-/// one thread, policies fan the batched score scan out over the pool
-/// and the greedy ranking runs sharded — both bit-identical to the
-/// serial path by the determinism argument in the `score_pool` module
-/// docs. The pool rides inside the workspace (rather than the policy or
-/// the view) so it survives the `mem::take` round-trip in
-/// [`crate::Policy::select_into`] and needs no `Policy` trait change.
+/// Each round the workspace decides, from the view's `|V|·d` and the
+/// host's cores, whether to score serially or through the process-wide
+/// [`crate::shared_score_pool`] (the cut-over is measured; see the
+/// `score_pool` module). Policies fill their scores through
+/// [`ScoreWorkspace::fill_scores`] /
+/// [`ScoreWorkspace::fill_scores_and_widths`], which read that one
+/// decision; pooled scores are bit-identical to serial by the
+/// determinism argument in the `score_pool` module docs. The oracle's
+/// ranking stays serial: it is one comparison per event, and a second
+/// pool dispatch per round made pooled rounds slower on two cores (see
+/// DESIGN.md §11). A workspace that has used the shared pool keeps a
+/// handle to it, so the pool's workers live exactly as long as some
+/// workspace needs them. [`ScoreWorkspace::set_score_pool`]
+/// overrides the decision with a given pool — tests and benches use it
+/// to force the pooled path (or, with a 1-thread pool, the serial one).
 ///
 /// ## Pipelined score prefetch
 ///
@@ -114,7 +122,7 @@ pub struct ScoreWorkspace {
     scores: Vec<f64>,
     widths: Vec<f64>,
     oracle_ws: OracleWorkspace,
-    pool: Option<Arc<ScorePool>>,
+    pool: PoolChoice,
     oracle: Option<Arc<dyn Oracle>>,
     arranger: Option<Arc<dyn Arranger>>,
     scored_once: bool,
@@ -122,6 +130,23 @@ pub struct ScoreWorkspace {
     prefetch: PrefetchSlot,
     prefetch_stats: PrefetchStats,
     tier_stats: ModelTierStats,
+}
+
+/// How a workspace picks where its rounds score.
+#[derive(Debug, Clone)]
+enum PoolChoice {
+    /// Per view: serial, or the shared pool once the cut-over says it
+    /// pays (held from the first such round on).
+    Auto(Option<Arc<ScorePool>>),
+    /// Always this pool, installed through
+    /// [`ScoreWorkspace::set_score_pool`].
+    Forced(Arc<ScorePool>),
+}
+
+impl Default for PoolChoice {
+    fn default() -> Self {
+        PoolChoice::Auto(None)
+    }
 }
 
 /// Stashed early-computed scores for one future round, tagged with the
@@ -210,18 +235,67 @@ impl ScoreWorkspace {
         (&mut self.scores, &mut self.widths)
     }
 
-    /// Installs (or removes, with `None`) the shared worker pool used
-    /// for intra-round parallel scoring. `None` — and any pool with
-    /// `threads() ≤ 1` — means the serial path.
+    /// Forces every later round to score through `pool` (a 1-thread
+    /// pool forces the serial path); `None` returns to the automatic
+    /// choice. Output is bit-identical either way — this seam exists so
+    /// tests and benches can pin the path they measure.
     pub fn set_score_pool(&mut self, pool: Option<Arc<ScorePool>>) {
-        self.pool = pool.clone();
-        self.oracle_ws.set_score_pool(pool);
+        self.pool = match pool {
+            Some(pool) => PoolChoice::Forced(pool),
+            None => PoolChoice::Auto(None),
+        };
     }
 
-    /// The installed scoring pool, if any. Policies clone the `Arc`
-    /// *before* borrowing score buffers so the workspace stays free.
-    pub fn score_pool(&self) -> Option<&Arc<ScorePool>> {
-        self.pool.as_ref()
+    /// The pool this round of `view` runs on, or `None` for serial: the
+    /// forced pool, or the shared one when the cut-over says pooling a
+    /// view this size pays on this host.
+    fn score_pool_for(&mut self, view: &SelectionView<'_>) -> Option<Arc<ScorePool>> {
+        let pool = match &mut self.pool {
+            PoolChoice::Forced(pool) => pool,
+            PoolChoice::Auto(held) => {
+                if !pool_pays_off(view.num_events(), view.dim(), host_cores()) {
+                    return None;
+                }
+                held.get_or_insert_with(shared_score_pool)
+            }
+        };
+        (pool.threads() > 1).then(|| Arc::clone(pool))
+    }
+
+    /// Fills the `|V|` scores of `view` with `f(events, scores[events])`:
+    /// one call over the whole event range, or one per pool chunk when
+    /// this round pools. `f` must write every score of its range from
+    /// per-event arithmetic alone, so chunking cannot change a bit.
+    pub fn fill_scores(
+        &mut self,
+        view: &SelectionView<'_>,
+        f: impl Fn(Range<usize>, &mut [f64]) + Sync,
+    ) {
+        let n = view.num_events();
+        let pool = self.score_pool_for(view);
+        let scores = ShardWriter::new(self.scores_mut(n));
+        run_chunked(pool.as_deref(), n, &|range| {
+            // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
+            f(range.clone(), unsafe { scores.slice(range) })
+        });
+    }
+
+    /// Like [`ScoreWorkspace::fill_scores`], with each range's slice of
+    /// the width buffer too: `f(events, scores[events], widths[events])`.
+    pub fn fill_scores_and_widths(
+        &mut self,
+        view: &SelectionView<'_>,
+        f: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+    ) {
+        let n = view.num_events();
+        let pool = self.score_pool_for(view);
+        let (scores, widths) = self.scores_and_widths_mut(n);
+        let (scores, widths) = (ShardWriter::new(scores), ShardWriter::new(widths));
+        run_chunked(pool.as_deref(), n, &|range| {
+            // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
+            let (s, w) = unsafe { (scores.slice(range.clone()), widths.slice(range.clone())) };
+            f(range, s, w)
+        });
     }
 
     /// Installs (or removes, with `None`) the [`Oracle`] that owns the
@@ -239,8 +313,7 @@ impl ScoreWorkspace {
 
     /// Installs (or removes, with `None`) an external [`Arranger`] that
     /// replaces the local oracle in [`ScoreWorkspace::arrange_into`].
-    /// Takes precedence over both an installed [`Oracle`] and the score
-    /// pool's sharded ranking.
+    /// Takes precedence over an installed [`Oracle`].
     pub fn set_arranger(&mut self, arranger: Option<Arc<dyn Arranger>>) {
         self.arranger = arranger;
     }
@@ -366,9 +439,7 @@ impl ScoreWorkspace {
     /// [`OracleWorkspace`] buffers — see the *Oracle dispatch* section
     /// of the type docs for the precedence order. With no oracle or
     /// arranger installed this is the allocation-free
-    /// [`crate::GreedyOracle`] path (pooled when a multi-thread
-    /// [`ScorePool`] is installed — bit-identical arrangements either
-    /// way).
+    /// [`crate::GreedyOracle`] path.
     pub fn arrange_into(&mut self, view: &SelectionView<'_>, out: &mut Arrangement) {
         let ScoreWorkspace {
             scores,
@@ -411,6 +482,15 @@ impl ScoreWorkspace {
             + self.prefetch.widths.len())
             * std::mem::size_of::<f64>()
             + self.oracle_ws.state_bytes()
+    }
+}
+
+/// Runs `f` once over `0..n`, or once per [`SCORE_CHUNK`] chunk of it
+/// spread over `pool`.
+fn run_chunked(pool: Option<&ScorePool>, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
+    match pool {
+        Some(pool) => pool.run(n, SCORE_CHUNK, &|_chunk, range| f(range)),
+        None => f(0..n),
     }
 }
 

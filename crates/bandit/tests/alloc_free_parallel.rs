@@ -10,13 +10,13 @@
 //! sequentially.
 //!
 //! The claim under test: once the workspace, shard scratch, and pool
-//! are warm, a steady-state `select_into` + `observe` round through an
-//! installed [`ScorePool`] allocates zero bytes on *any* thread —
+//! are warm, a steady-state `select_into` + `observe` round through the
+//! process-shared [`ScorePool`] allocates zero bytes on *any* thread —
 //! dispatch is condvar + atomics (futex-backed on Linux), chunks run
 //! the existing allocation-free kernels into pre-sized shard slices,
 //! and the oracle merge reuses workspace buffers.
 
-use fasea_bandit::{EpsilonGreedy, Exploit, LinUcb, Policy, ScorePool, SelectionView};
+use fasea_bandit::{shared_score_pool, EpsilonGreedy, Exploit, LinUcb, Policy, SelectionView};
 use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, Feedback};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,7 +70,6 @@ fn allocations_during(f: impl FnOnce()) -> (u64, u64) {
 // (ragged tail) and the shard scratch is meaningfully exercised.
 const NUM_EVENTS: usize = fasea_bandit::SCORE_CHUNK + 200;
 const DIM: usize = 8;
-const POOL_THREADS: usize = 4;
 
 fn fixture() -> (ContextMatrix, ConflictGraph, Vec<u32>) {
     let ctx = ContextMatrix::from_fn(NUM_EVENTS, DIM, |v, j| {
@@ -86,10 +85,12 @@ fn assert_parallel_steady_state_allocates_zero(mut policy: Box<dyn Policy>, labe
     let (ctx, conflicts, remaining) = fixture();
     let cu = 4u32;
     let mut out = Arrangement::empty();
-    let pool = ScorePool::shared(POOL_THREADS).expect("multi-thread pool");
-    // Thread startup allocates (libstd records the thread name for the
-    // stack-overflow handler); sync with it so only steady-state rounds
-    // are measured.
+    // The pool automatic scoring uses, forced so the pooled path runs
+    // at this shape (on a one-core host it has no workers and the
+    // round is serial). Thread startup allocates (libstd records the
+    // thread name for the stack-overflow handler); sync with it so only
+    // steady-state rounds are measured.
+    let pool = shared_score_pool();
     pool.wait_ready();
     policy.workspace_mut().set_score_pool(Some(pool));
 

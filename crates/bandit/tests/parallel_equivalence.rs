@@ -1,12 +1,13 @@
 //! Property test: parallel scoring is **bit-equal** to serial scoring.
 //!
-//! For every policy, every pool width in {1, 2, 3, 8}, and a set of
+//! For every policy, every forced pool width in {1, 2, 3, 8}, and a set of
 //! instance shapes chosen to hit the sharding edge cases — `|V|` not a
 //! multiple of the chunk size (ragged tail chunk), `|V|` smaller than
 //! the thread count, conflict-dense rankings that force the oracle's
 //! retry widening, and rounds where every event is full (empty
-//! arrangements) — a pooled policy and a serial twin are driven in
-//! lockstep through select/observe rounds and must produce:
+//! arrangements) — a pooled policy and a twin forced serial (a 1-thread
+//! pool) are driven in lockstep through select/observe rounds and must
+//! produce:
 //!
 //! * bit-identical scores (`f64::to_bits`, not approximate), and
 //! * identical arrangements,
@@ -21,6 +22,7 @@ use fasea_bandit::{
 };
 use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, Feedback, LinearPayoffModel};
 use fasea_linalg::Vector;
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -86,9 +88,12 @@ fn assert_lockstep_equal(
     threads: usize,
     inst: &Instance,
 ) {
+    serial
+        .workspace_mut()
+        .set_score_pool(Some(Arc::new(ScorePool::new(1))));
     pooled
         .workspace_mut()
-        .set_score_pool(ScorePool::shared(threads));
+        .set_score_pool(Some(Arc::new(ScorePool::new(threads))));
     let mut a_serial = Arrangement::empty();
     let mut a_pooled = Arrangement::empty();
     for t in 0..inst.rounds {
@@ -186,7 +191,8 @@ fn all_policies_bit_equal_across_thread_counts() {
 #[test]
 fn empty_instance_with_pool_installed() {
     let mut p = Exploit::new(3, 1.0);
-    p.workspace_mut().set_score_pool(ScorePool::shared(4));
+    p.workspace_mut()
+        .set_score_pool(Some(Arc::new(ScorePool::new(4))));
     let contexts = ContextMatrix::zeros(0, 3);
     let conflicts = ConflictGraph::new(0);
     let view = fasea_bandit::SelectionView {

@@ -1,58 +1,75 @@
-//! Old-vs-new per-round scoring latency for the batched `Policy` path,
-//! plus serial-vs-parallel scaling for the [`ScorePool`] engine.
+//! Per-round scoring latency of the batched `Policy` path: old vs new
+//! for UCB, and serial vs pooled vs automatic for UCB and TS — the
+//! measurement behind the serial/pooled cut-over in
+//! `fasea_bandit::ScoreWorkspace`.
 //!
 //! The pre-redesign UCB round scored one event at a time — clone `θ̂`,
 //! allocate a `Vector` per event for the confidence width, allocate the
 //! oracle's order/mask scratch and a fresh `Arrangement` — while the
 //! batched path (`select_into` + `ScoreWorkspace`) runs the same
 //! arithmetic through `widths_into` with zero steady-state allocations.
-//! This bench times three paths on identical estimator state:
+//! Each cell times `select_into` on identical learner state along:
 //!
-//! * `legacy`   — the reconstructed pre-redesign scalar round
-//!   (skipped at `|V| ≥ 100k`, where one call alone would blow the
-//!   measurement budget);
-//! * `batched`  — serial `select_into`;
-//! * `parallel` — `select_into` through an 8-thread [`ScorePool`].
+//! * `legacy` — the reconstructed pre-redesign scalar round (UCB only);
+//! * `serial` — forced serial (a 1-thread pool through the
+//!   workspace's `set_score_pool` seam);
+//! * `pooled` — forced through a pool of one thread per core (at least
+//!   two, so a one-core host still measures the dispatch overhead);
+//! * `auto`   — the workspace's own choice, which pools only once
+//!   `|V|·d` reaches the measured cut-over on a multi-core host.
 //!
-//! All paths produce bit-identical scores and arrangements (asserted
-//! before timing), so every ratio is pure overhead, not numerics. The
-//! grid is `|V| ∈ {100, 1k, 10k}` × `d ∈ {5, 20}` plus the large cells
-//! `|V| = 100k (d = 20)` and `|V| = 1M (d = 5)` that the parallel
-//! engine exists for.
+//! UCB's per-event work grows with `d²` (the width), TS's with `d`
+//! (one dot product after a serial posterior draw), so the pair brackets
+//! the cut-over from both sides. All paths produce bit-identical scores
+//! and arrangements (asserted before timing), so every ratio is pure
+//! overhead, not numerics. The grid brackets the benchmark workloads'
+//! shapes (`200×5`, `500×20`, `100×8`, `5000×20`) and the cut-over.
 //!
-//! `parallel_speedup` is meaningful only when the host actually has
-//! cores to scale onto — the JSON records `host_cores` next to
-//! `threads` so a single-core CI container's ≈1.0× is read as a
-//! machine property, not a regression.
+//! The JSON records `host_cores` next to `threads`: pooled ratios are a
+//! property of the machine they were measured on.
 //!
 //! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
 //! file, the measured table is also written there as JSON — that is how
 //! the committed `BENCH_scoring.json` is produced:
 //!
 //! ```text
-//! FASEA_BENCH_JSON=BENCH_scoring.json cargo bench --bench scoring_hot_path
+//! FASEA_BENCH_MS=1000 FASEA_BENCH_JSON=BENCH_scoring.json \
+//!     cargo bench --bench scoring_hot_path
 //! ```
 //!
 //! `FASEA_BENCH_MS` bounds the per-measurement budget as in the other
 //! benches (default 300 ms), so CI can smoke-run the whole file in a
-//! couple of seconds without touching the committed numbers.
+//! few seconds without touching the committed numbers.
 
 use fasea_bandit::{
-    GreedyOracle, LinUcb, Oracle, OracleWorkspace, Policy, RidgeEstimator, ScorePool, SelectionView,
+    GreedyOracle, LinUcb, Oracle, OracleWorkspace, Policy, RidgeEstimator, ScorePool,
+    SelectionView, ThompsonSampling,
 };
 use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Pool width for the parallel column (the ISSUE's scaling target is
-/// quoted at 8 threads).
-const POOL_THREADS: usize = 8;
+/// `(|V|, d)` cells. The conflict graph is a dense `|V|²` bit matrix,
+/// so `|V|` stays at 20k (50 MB).
+const GRID: &[(usize, usize)] = &[
+    (100, 8),
+    (200, 5),
+    (500, 20),
+    (1_000, 20),
+    (2_500, 8),
+    (2_500, 20),
+    (4_000, 5),
+    (4_000, 20),
+    (5_000, 5),
+    (5_000, 20),
+    (10_000, 5),
+    (10_000, 20),
+    (20_000, 5),
+];
 
-/// Cells at or above this `|V|` skip the legacy path: the per-event
-/// allocating round is ~100× slower, so a single call would eat the
-/// whole budget without telling us anything new.
-const LEGACY_CUTOFF: usize = 100_000;
+/// Warm-up rounds before timing: enough for non-trivial `Y⁻¹` and `θ̂`.
+const WARM_ROUNDS: u64 = 32;
 
 /// The pre-redesign scalar UCB scoring round, kept verbatim: per-round
 /// `θ̂` clone, per-event `Vector` allocation inside `confidence_width`,
@@ -101,13 +118,91 @@ impl XorShift {
     }
 }
 
+#[derive(Clone, Copy)]
+enum Kind {
+    Ucb,
+    Ts,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Ucb => "UCB",
+            Kind::Ts => "TS",
+        }
+    }
+}
+
+struct Fixture {
+    contexts: ContextMatrix,
+    conflicts: ConflictGraph,
+    remaining: Vec<u32>,
+}
+
+impl Fixture {
+    fn new(num_events: usize, dim: usize) -> Self {
+        let mut rng = XorShift(0x5C0_71A6 ^ (num_events as u64) << 8 ^ dim as u64);
+        let contexts = ContextMatrix::from_fn(num_events, dim, |_, _| rng.next_f64());
+        // A sparse conflict graph, enough for the oracle's mask checks
+        // to run but not to dominate timing.
+        let pairs: Vec<(usize, usize)> = (0..num_events / 10)
+            .map(|i| (i, i + num_events / 2))
+            .collect();
+        Fixture {
+            conflicts: ConflictGraph::from_pairs(num_events, &pairs),
+            remaining: vec![u32::MAX; num_events],
+            contexts,
+        }
+    }
+
+    fn view(&self, t: u64) -> SelectionView<'_> {
+        SelectionView {
+            t,
+            user_capacity: 5,
+            contexts: &self.contexts,
+            conflicts: &self.conflicts,
+            remaining: &self.remaining,
+        }
+    }
+}
+
+/// Runs the warm-up rounds on `policy`.
+fn warm(policy: &mut dyn Policy, fx: &Fixture) {
+    let mut out = Arrangement::empty();
+    for t in 0..WARM_ROUNDS {
+        policy.select_into(&fx.view(t), &mut out);
+        let fb = Feedback::new(
+            (0..out.len())
+                .map(|i| (t as usize + i).is_multiple_of(2))
+                .collect(),
+        );
+        policy.observe(t, &fx.contexts, &out, &fb);
+    }
+}
+
+/// A warmed policy of `kind` scoring through `pool` (`None`: the
+/// workspace's automatic choice). Every call builds the same learner
+/// state, RNG position included.
+fn warmed(kind: Kind, fx: &Fixture, pool: Option<Arc<ScorePool>>) -> Box<dyn Policy> {
+    let dim = fx.contexts.dim();
+    let mut policy: Box<dyn Policy> = match kind {
+        Kind::Ucb => Box::new(LinUcb::new(dim, 1.0, 2.0)),
+        Kind::Ts => Box::new(ThompsonSampling::new(dim, 1.0, 0.1, 0x75)),
+    };
+    policy.workspace_mut().set_score_pool(pool);
+    warm(policy.as_mut(), fx);
+    policy
+}
+
 struct Cell {
+    policy: &'static str,
     num_events: usize,
     dim: usize,
-    /// `None` for the large cells where the legacy path is skipped.
+    /// UCB only.
     legacy_ns: Option<f64>,
-    batched_ns: f64,
-    parallel_ns: f64,
+    serial_ns: f64,
+    pooled_ns: f64,
+    auto_ns: f64,
 }
 
 fn budget() -> Duration {
@@ -118,192 +213,180 @@ fn budget() -> Duration {
     Duration::from_millis(ms.max(10))
 }
 
-/// Mean ns per call of `f`, measured in ~1 ms batches until the budget
-/// is spent (same scheme as the workspace's criterion stand-in).
-fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
+/// Median ns per call of each of `fs`, timed in ~1 ms batches taken
+/// in turn until `budget` is spent. A burst of other load on the host
+/// lands on neighbouring batches of every path alike, and the median
+/// drops it, so the ratios between paths stay paired.
+fn time_interleaved(budget: Duration, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let warm_start = Instant::now();
     while warm_start.elapsed() < budget / 10 {
-        f();
+        fs.iter_mut().for_each(|f| f());
     }
-    let probe_start = Instant::now();
-    f();
-    let probe = probe_start.elapsed().max(Duration::from_nanos(20));
-    let batch = (Duration::from_millis(1).as_nanos() / probe.as_nanos()).clamp(1, 100_000) as u64;
-
-    let mut iters = 0u64;
-    let mut total = Duration::ZERO;
-    let run_start = Instant::now();
-    while run_start.elapsed() < budget {
-        let batch_start = Instant::now();
-        for _ in 0..batch {
+    let batches: Vec<u32> = fs
+        .iter_mut()
+        .map(|f| {
+            let probe_start = Instant::now();
             f();
+            let probe = probe_start.elapsed().max(Duration::from_nanos(20));
+            (Duration::from_millis(1).as_nanos() / probe.as_nanos()).clamp(1, 100_000) as u32
+        })
+        .collect();
+    let mut samples = vec![Vec::new(); fs.len()];
+    let run_start = Instant::now();
+    while run_start.elapsed() < budget || samples[0].len() < 5 {
+        for ((f, &batch), s) in fs.iter_mut().zip(&batches).zip(&mut samples) {
+            let batch_start = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            s.push(batch_start.elapsed().as_nanos() as f64 / f64::from(batch));
         }
-        total += batch_start.elapsed();
-        iters += batch;
     }
-    total.as_nanos() as f64 / iters.max(1) as f64
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        })
+        .collect()
 }
 
-fn bench_cell(num_events: usize, dim: usize, budget: Duration, pool: &Arc<ScorePool>) -> Cell {
-    let mut rng = XorShift(0x5C0_71A6 ^ (num_events as u64) << 8 ^ dim as u64);
-    let contexts = ContextMatrix::from_fn(num_events, dim, |_, _| rng.next_f64());
-    // A sparse conflict graph, enough for the oracle's mask checks to
-    // run but not to dominate timing.
-    let pairs: Vec<(usize, usize)> = (0..num_events / 10)
-        .map(|i| (i, i + num_events / 2))
-        .collect();
-    let conflicts = ConflictGraph::from_pairs(num_events, &pairs);
-    let remaining = vec![u32::MAX; num_events];
-    let cu = 5u32;
-
-    // Warm a policy so Y⁻¹ and θ̂ are non-trivial, then clone its
-    // estimator into the legacy path: all paths score the same model.
-    // Large cells get a short warm-up — the estimator state only needs
-    // to be non-trivial, and 32 full scans of |V| = 1M are pure wait.
-    let warm_rounds = if num_events >= LEGACY_CUTOFF { 2 } else { 32 };
-    let mut policy = LinUcb::new(dim, 1.0, 2.0);
+/// One `select_into` of `view` through `policy`, as a timed closure.
+fn select_round<'a>(
+    policy: &'a mut Box<dyn Policy>,
+    view: &'a SelectionView<'a>,
+) -> impl FnMut() + 'a {
     let mut out = Arrangement::empty();
-    for t in 0..warm_rounds {
-        let view = SelectionView {
-            t,
-            user_capacity: cu,
-            contexts: &contexts,
-            conflicts: &conflicts,
-            remaining: &remaining,
-        };
-        policy.select_into(&view, &mut out);
-        let fb = Feedback::new(
-            (0..out.len())
-                .map(|i| (t as usize + i).is_multiple_of(2))
-                .collect(),
-        );
-        policy.observe(t, &contexts, &out, &fb);
+    move || {
+        policy.select_into(black_box(view), &mut out);
+        black_box(out.len());
     }
+}
 
-    let view = SelectionView {
-        t: warm_rounds,
-        user_capacity: cu,
-        contexts: &contexts,
-        conflicts: &conflicts,
-        remaining: &remaining,
-    };
+/// Times one round of `select_into` (no observe: the learner state
+/// stays fixed) along each path, after asserting that every path
+/// scores and arranges the first timed round bit-identically.
+fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>) -> Cell {
+    let view = fx.view(WARM_ROUNDS);
+    let mut paths = [
+        warmed(kind, fx, Some(Arc::new(ScorePool::new(1)))),
+        warmed(kind, fx, Some(Arc::clone(pool))),
+        warmed(kind, fx, None),
+    ];
+    let mut reference: Option<(Arrangement, Vec<f64>)> = None;
+    for policy in &mut paths {
+        let mut out = Arrangement::empty();
+        policy.select_into(&view, &mut out);
+        let scores = policy.last_scores().expect("scores after select");
+        match &reference {
+            None => reference = Some((out, scores.to_vec())),
+            Some((ref_out, ref_scores)) => {
+                assert_eq!(out.events(), ref_out.events(), "paths diverge");
+                for (v, (a, b)) in scores.iter().zip(ref_scores).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "score {v} differs in bits");
+                }
+            }
+        }
+    }
+    let (ref_out, ref_scores) = reference.expect("three paths");
 
-    // Serial reference: scores + arrangement every other path must hit.
-    policy.select_into(&view, &mut out);
-    let serial_out = out.clone();
-    let serial_scores: Vec<f64> = policy.last_scores().expect("scores after select").to_vec();
-
-    let run_legacy = num_events < LEGACY_CUTOFF;
-    let legacy_ns = run_legacy.then(|| {
+    let mut selects = paths.each_mut().map(|policy| select_round(policy, &view));
+    let mut timed: Vec<&mut dyn FnMut()> =
+        selects.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+    let mut legacy = matches!(kind, Kind::Ucb).then(|| {
         // Same scores, same arrangement — the paths differ only in cost.
+        let mut ucb = LinUcb::new(fx.contexts.dim(), 1.0, 2.0);
+        warm(&mut ucb, fx);
         let mut legacy = LegacyUcb {
-            estimator: policy.estimator().clone(),
-            alpha: policy.alpha(),
+            estimator: ucb.estimator().clone(),
+            alpha: ucb.alpha(),
             scores: Vec::new(),
         };
-        let legacy_out = legacy.select(&view);
-        assert_eq!(legacy_out.events(), serial_out.events(), "paths diverge");
-        for (v, (l, s)) in legacy.scores.iter().zip(&serial_scores).enumerate() {
-            assert_eq!(l.to_bits(), s.to_bits(), "legacy score {v} differs in bits");
-        }
-        time_ns(budget, || {
-            black_box(legacy.select(black_box(&view)).len());
-        })
-    });
-
-    let batched_ns = time_ns(budget, || {
-        policy.select_into(black_box(&view), &mut out);
-        black_box(out.len());
-    });
-
-    // Parallel: install the shared pool, prove bit-equality against the
-    // serial reference, then time the identical call.
-    policy
-        .workspace_mut()
-        .set_score_pool(Some(Arc::clone(pool)));
-    policy.select_into(&view, &mut out);
-    assert_eq!(out.events(), serial_out.events(), "parallel path diverges");
-    let pooled_scores = policy.last_scores().expect("scores after pooled select");
-    for (v, (p, s)) in pooled_scores.iter().zip(&serial_scores).enumerate() {
         assert_eq!(
-            p.to_bits(),
-            s.to_bits(),
-            "parallel score {v} differs in bits"
+            legacy.select(&view).events(),
+            ref_out.events(),
+            "legacy diverges"
         );
-    }
-    let parallel_ns = time_ns(budget, || {
-        policy.select_into(black_box(&view), &mut out);
-        black_box(out.len());
+        for (v, (a, b)) in legacy.scores.iter().zip(&ref_scores).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "legacy score {v} differs in bits");
+        }
+        legacy
     });
-    policy.workspace_mut().set_score_pool(None);
-
+    let mut legacy_select = legacy.as_mut().map(|legacy| {
+        || {
+            black_box(legacy.select(black_box(&view)).len());
+        }
+    });
+    timed.extend(legacy_select.as_mut().map(|f| f as &mut dyn FnMut()));
+    let ns = time_interleaved(budget, &mut timed);
     Cell {
-        num_events,
-        dim,
-        legacy_ns,
-        batched_ns,
-        parallel_ns,
+        policy: kind.name(),
+        num_events: fx.contexts.num_events(),
+        dim: fx.contexts.dim(),
+        legacy_ns: ns.get(3).copied(),
+        serial_ns: ns[0],
+        pooled_ns: ns[1],
+        auto_ns: ns[2],
     }
 }
 
 fn main() {
     let budget = budget();
-    let pool = ScorePool::shared(POOL_THREADS).expect("multi-thread pool");
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = host_cores.max(2);
+    let pool = Arc::new(ScorePool::new(threads));
     // Keep worker-thread startup out of the first cell's timing.
     pool.wait_ready();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if host_cores == 1 {
         println!(
-            "warning: single-core host — parallel_speedup < 1 measures ScorePool \
-             dispatch overhead, not a scaling regression"
+            "warning: single-core host — pooled < serial measures ScorePool dispatch \
+             overhead, not a scaling regression"
         );
     }
 
-    let grid: &[(usize, usize)] = &[
-        (100, 5),
-        (100, 20),
-        (1_000, 5),
-        (1_000, 20),
-        (10_000, 5),
-        (10_000, 20),
-        // The cells the parallel engine exists for; legacy is skipped.
-        (100_000, 20),
-        (1_000_000, 5),
-    ];
     let mut cells = Vec::new();
-    for &(num_events, dim) in grid {
-        let cell = bench_cell(num_events, dim, budget, &pool);
-        let legacy = cell
-            .legacy_ns
-            .map_or_else(|| "      (skipped)".into(), |ns| format!("{ns:>12.1} ns"));
-        println!(
-            "scoring_hot_path/UCB/{}x{:<20} legacy: {legacy}   batched: {:>12.1} ns   parallel[{}t]: {:>12.1} ns   par speedup: {:.2}x",
-            cell.num_events,
-            cell.dim,
-            cell.batched_ns,
-            POOL_THREADS,
-            cell.parallel_ns,
-            cell.batched_ns / cell.parallel_ns,
-        );
-        cells.push(cell);
+    for &(num_events, dim) in GRID {
+        let fx = Fixture::new(num_events, dim);
+        for kind in [Kind::Ucb, Kind::Ts] {
+            let c = bench_cell(kind, &fx, budget, &pool);
+            let legacy = c
+                .legacy_ns
+                .map_or_else(|| "             -".into(), |ns| format!("{ns:>11.0} ns"));
+            println!(
+                "scoring_hot_path/{:<3} {:>6}x{:<3} legacy: {legacy}   serial: {:>10.0} ns   pooled[{threads}t]: {:>10.0} ns ({:.2}x)   auto: {:>10.0} ns ({:.2}x)",
+                c.policy,
+                c.num_events,
+                c.dim,
+                c.serial_ns,
+                c.pooled_ns,
+                c.serial_ns / c.pooled_ns,
+                c.auto_ns,
+                c.serial_ns / c.auto_ns,
+            );
+            cells.push(c);
+        }
     }
 
     if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
         let mut json = format!(
-            "{{\n  \"bench\": \"scoring_hot_path\",\n  \"policy\": \"UCB\",\n  \"units\": \"ns_per_round\",\n  \"threads\": {POOL_THREADS},\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
+            "{{\n  \"bench\": \"scoring_hot_path\",\n  \"units\": \"ns_per_round\",\n  \"threads\": {threads},\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
         );
         for (i, c) in cells.iter().enumerate() {
             let (legacy_ns, legacy_speedup) = match c.legacy_ns {
-                Some(ns) => (format!("{ns:.1}"), format!("{:.2}", ns / c.batched_ns)),
+                Some(ns) => (format!("{ns:.1}"), format!("{:.2}", ns / c.serial_ns)),
                 None => ("null".into(), "null".into()),
             };
             json.push_str(&format!(
-                "    {{\"num_events\": {}, \"dim\": {}, \"legacy_ns\": {legacy_ns}, \"batched_ns\": {:.1}, \"parallel_ns\": {:.1}, \"speedup\": {legacy_speedup}, \"parallel_speedup\": {:.2}}}{}\n",
+                "    {{\"policy\": \"{}\", \"num_events\": {}, \"dim\": {}, \"work\": {}, \"legacy_ns\": {legacy_ns}, \"serial_ns\": {:.1}, \"pooled_ns\": {:.1}, \"auto_ns\": {:.1}, \"speedup\": {legacy_speedup}, \"parallel_speedup\": {:.2}, \"auto_speedup\": {:.2}}}{}\n",
+                c.policy,
                 c.num_events,
                 c.dim,
-                c.batched_ns,
-                c.parallel_ns,
-                c.batched_ns / c.parallel_ns,
+                c.num_events * c.dim,
+                c.serial_ns,
+                c.pooled_ns,
+                c.auto_ns,
+                c.serial_ns / c.pooled_ns,
+                c.serial_ns / c.auto_ns,
                 if i + 1 == cells.len() { "" } else { "," },
             ));
         }

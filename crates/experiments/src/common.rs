@@ -78,9 +78,7 @@ pub fn run_cell(
 ) -> SimulationResult {
     let workload = SyntheticWorkload::generate(config);
     let mut policies = paper_policy_set(workload.config.dim, params, workload.config.seed);
-    let mut run_cfg = RunConfig::paper(opts.horizon)
-        .with_score_threads(opts.score_threads)
-        .with_oracle(opts.oracle);
+    let mut run_cfg = RunConfig::paper(opts.horizon).with_oracle(opts.oracle);
     if opts.churn_period > 0 {
         run_cfg = run_cfg.with_churn(churn_for(&workload, opts.horizon, opts.churn_period));
     }

@@ -68,10 +68,6 @@ pub struct Options {
     /// (different workload + feedback seeds); 1 reproduces the paper's
     /// single-run figures, larger values add mean ± std error bars.
     pub replications: u32,
-    /// Intra-round scoring threads per simulation (0/1 = serial; N > 1
-    /// installs a shared [`fasea_bandit::ScorePool`] — results are
-    /// bit-identical either way).
-    pub score_threads: usize,
     /// Arrangement oracle every simulation runs through
     /// (`--oracle greedy|tabu`; greedy reproduces the paper exactly).
     pub oracle: fasea_bandit::OracleOptions,
@@ -92,7 +88,6 @@ impl Default for Options {
             real_rounds: 1000,
             real_regret_rounds: 10_000,
             replications: 1,
-            score_threads: 0,
             oracle: fasea_bandit::OracleOptions::greedy(),
             churn_period: 0,
         }

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! fasea-exp <experiment> [--t N] [--out DIR] [--seed S] [--threads N]
-//!           [--score-threads N] [--real-rounds N] [--real-regret-rounds N]
-//!           [--reps N] [--oracle greedy|tabu] [--churn N]
+//!           [--real-rounds N] [--real-regret-rounds N] [--reps N]
+//!           [--oracle greedy|tabu] [--churn N]
 //!
 //! experiments: fig1 fig2 fig3 … fig13 table5 table6 table7
 //!              ext1 ext2 verify plots all
@@ -18,17 +18,16 @@ use fasea_experiments::{
 fn print_usage() {
     eprintln!(
         "usage: fasea-exp <experiment> [--t N] [--out DIR] [--seed S] [--threads N] \
-         [--score-threads N] [--real-rounds N] [--real-regret-rounds N] [--reps N] \
-         [--oracle greedy|tabu] [--churn N]\n\
+         [--real-rounds N] [--real-regret-rounds N] [--reps N] [--oracle greedy|tabu] \
+         [--churn N]\n\
          experiments: {} verify plots all\n\
          defaults: --t 100000 (the paper's horizon), --out results, 1000/10000 real rounds, 1 rep\n\
-         --threads fans experiment cells out; --score-threads N parallelises scoring *inside*\n\
-         each simulation round (0 = serial, results bit-identical either way)\n\
+         --threads fans experiment cells out (scoring picks serial or pooled by itself)\n\
          --oracle picks the arrangement oracle (greedy = the paper's Algorithm 2);\n\
          --churn N closes/shrinks/re-opens one event every N rounds (0 = static universe)\n\
          network service:\n\
          fasea-exp serve   [--addr H:P] [--dir DIR] [--seed S] [--events N] [--dim D]\n\
-                           [--workers N] [--score-threads N] [--policy ucb|ts|egreedy]\n\
+                           [--workers N] [--policy ucb|ts|egreedy]\n\
                            [--fsync always|everyn|never] [--group-commit 1]\n\
                            [--snapshot-every N] [--shards N] [--oracle greedy|tabu]\n\
                            [--churn N] [--churn-horizon H] [--pipeline-depth N]\n\
@@ -84,7 +83,6 @@ fn main() {
             "--t" => opts.horizon = parse_u64(&value),
             "--seed" => opts.seed = parse_u64(&value),
             "--threads" => opts.threads = parse_u64(&value) as usize,
-            "--score-threads" => opts.score_threads = parse_u64(&value) as usize,
             "--real-rounds" => opts.real_rounds = parse_u64(&value),
             "--real-regret-rounds" => opts.real_regret_rounds = parse_u64(&value),
             "--reps" => opts.replications = parse_u64(&value) as u32,

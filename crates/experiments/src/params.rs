@@ -50,11 +50,7 @@ fn run_single_policy(policy: Box<dyn Policy>, opts: &Options) -> SimulationResul
     };
     let workload = SyntheticWorkload::generate(config);
     let mut policies = vec![policy];
-    run_simulation(
-        &workload,
-        &mut policies,
-        &RunConfig::paper(opts.horizon).with_score_threads(opts.score_threads),
-    )
+    run_simulation(&workload, &mut policies, &RunConfig::paper(opts.horizon))
 }
 
 /// Figure 9: α ∈ {1, 1.5, 2, 2.5} for UCB; δ ∈ {0.05, 0.1, 0.2} for TS;

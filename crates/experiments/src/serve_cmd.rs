@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! fasea-exp serve   [--addr HOST:PORT] [--dir DIR] [--seed S] [--events N]
-//!                   [--dim D] [--workers N] [--score-threads N]
+//!                   [--dim D] [--workers N]
 //!                   [--policy ucb|ts|egreedy|multi-ucb|multi-ts]
 //!                   [--users N] [--model-budget-mb M]
 //!                   [--cohorts N] [--cohort-folds K]
@@ -308,7 +308,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     let mut dir = std::path::PathBuf::from("serve-state");
     let mut config = ServerConfig::default();
     let mut fsync = FsyncPolicy::EveryN(32);
-    let mut score_threads: usize = 0;
     let mut group_commit = false;
     let mut shards: usize = 0;
     for (flag, value) in parse_flags(args)? {
@@ -319,7 +318,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
             "events" => spec.events = parse_u64(&flag, &value)? as usize,
             "dim" => spec.dim = parse_u64(&flag, &value)? as usize,
             "workers" => config.workers = parse_u64(&flag, &value)? as usize,
-            "score-threads" => score_threads = parse_u64(&flag, &value)? as usize,
             "policy" => spec.policy = value,
             "users" => spec.users = parse_u64(&flag, &value)?.max(1) as usize,
             "model-budget-mb" => spec.model_budget_mb = parse_u64(&flag, &value)?,
@@ -374,7 +372,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let options = DurableOptions::new()
         .with_fsync(fsync)
-        .with_score_threads(score_threads)
         .with_group_commit(group_commit)
         .with_oracle(spec.oracle)
         .with_fingerprint_salt(spec.model_fingerprint_salt());

@@ -594,7 +594,11 @@ mod tests {
 
     /// Full observable state of the single-actor reference run.
     fn reference(rounds: u64) -> (Vec<Vec<bool>>, Vec<u32>, Vec<u8>) {
-        let dir = tmp("reference");
+        // Tests run in parallel and several build a reference: each
+        // needs its own directory.
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = tmp(&format!("reference-{n}"));
         let mut svc =
             DurableArrangementService::open(&dir, instance(), ts_policy(), opts()).unwrap();
         let mut accepts = Vec::new();

@@ -73,12 +73,6 @@ pub struct DurableOptions {
     /// How many snapshots to keep on disk (older ones are pruned after
     /// each successful snapshot; at least 1).
     pub snapshots_kept: usize,
-    /// Scoring threads for the wrapped policy: `0` or `1` keeps scoring
-    /// serial, `N > 1` installs an `N`-wide [`fasea_bandit::ScorePool`]
-    /// (installed before WAL replay, so recovery exercises the same
-    /// path). Parallel scoring is bit-identical to serial, so this knob
-    /// never changes decisions — only wall-clock.
-    pub score_threads: usize,
     /// Route appends through the group-commit pipeline: a dedicated
     /// syncer thread batches writes + fsyncs (N records share one
     /// syscall pair) and snapshots run on a background thread. The
@@ -113,7 +107,6 @@ impl Default for DurableOptions {
             segment_bytes: 4 << 20,
             fsync: FsyncPolicy::EveryN(32),
             snapshots_kept: 2,
-            score_threads: 0,
             group_commit: false,
             oracle: fasea_bandit::OracleOptions::new(),
             fingerprint_salt: 0,
@@ -144,14 +137,6 @@ impl DurableOptions {
     /// by the pruning logic).
     pub fn with_snapshots_kept(mut self, kept: usize) -> Self {
         self.snapshots_kept = kept;
-        self
-    }
-
-    /// Sets the scoring thread count (`0`/`1` = serial; `N > 1`
-    /// installs a shared score pool — bit-identical results, faster
-    /// rounds on multi-core hosts).
-    pub fn with_score_threads(mut self, threads: usize) -> Self {
-        self.score_threads = threads;
         self
     }
 
@@ -403,10 +388,8 @@ impl DurableArrangementService {
             None => (ArrangementService::new(instance, policy), 0),
         };
 
-        // Install the pool and the oracle before replay so recovery
-        // runs through the same (bit-identical) decision path the
-        // service will serve with.
-        service.install_score_pool(fasea_bandit::ScorePool::shared(options.score_threads));
+        // Install the oracle before replay so recovery runs through the
+        // same decision path the service will serve with.
         service.install_oracle(Some(options.oracle.build()));
 
         replay(&mut service, &recovered, replay_from)?;
@@ -1062,9 +1045,12 @@ mod tests {
             }
             reference_state = svc.service().policy().save_state();
         }
-        let parallel_opts = serial_opts.with_score_threads(4);
+        let mut pooled = ts_policy();
+        pooled
+            .workspace_mut()
+            .set_score_pool(Some(Arc::new(fasea_bandit::ScorePool::new(4))));
         let mut svc =
-            DurableArrangementService::open(&dir, instance(), ts_policy(), parallel_opts).unwrap();
+            DurableArrangementService::open(&dir, instance(), pooled, serial_opts).unwrap();
         assert_eq!(svc.rounds_completed(), 20);
         assert_eq!(svc.service().policy().save_state(), reference_state);
         // The pooled service keeps serving (bit-identical scoring).

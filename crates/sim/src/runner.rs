@@ -45,12 +45,6 @@ pub struct RunConfig {
     pub measure_time: bool,
     /// Seed of the common-random-number feedback stream.
     pub feedback_seed: u64,
-    /// Intra-round parallel scoring threads. `0` or `1` = serial (the
-    /// default); `N > 1` installs one shared
-    /// [`fasea_bandit::ScorePool`] into every policy for the run —
-    /// results are bit-identical to serial for every policy, only
-    /// wall-clock changes.
-    pub score_threads: usize,
     /// Which arrangement [`fasea_bandit::Oracle`] every policy (and the
     /// OPT reference) runs its selections through. The default greedy
     /// oracle is bit-identical to the historical behaviour.
@@ -72,7 +66,6 @@ impl RunConfig {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 0xFEEDBAC4,
-            score_threads: 0,
             oracle: fasea_bandit::OracleOptions::new(),
             churn: fasea_core::ChurnSchedule::none(),
         }
@@ -86,7 +79,6 @@ impl RunConfig {
             track_kendall: false,
             measure_time: true,
             feedback_seed: 0xFEEDBAC4,
-            score_threads: 0,
             oracle: fasea_bandit::OracleOptions::new(),
             churn: fasea_core::ChurnSchedule::none(),
         }
@@ -113,13 +105,6 @@ impl RunConfig {
     /// Sets the seed of the common-random-number feedback stream.
     pub fn with_feedback_seed(mut self, seed: u64) -> Self {
         self.feedback_seed = seed;
-        self
-    }
-
-    /// Sets the intra-round parallel scoring thread count (`0`/`1` =
-    /// serial).
-    pub fn with_score_threads(mut self, threads: usize) -> Self {
-        self.score_threads = threads;
         self
     }
 
@@ -207,21 +192,9 @@ pub fn run_simulation(
     let mut opt_policy = Opt::new(model.clone());
     let memory = crate::MemoryModel::for_instance(&workload.instance);
 
-    // One shared scoring pool for the whole run (None when serial).
-    // Installed into every policy's workspace before the loop and
-    // removed afterwards so caller-owned policies don't keep worker
-    // threads alive past the simulation.
-    let score_pool = fasea_bandit::ScorePool::shared(config.score_threads);
-    opt_policy
-        .workspace_mut()
-        .set_score_pool(score_pool.clone());
-    for p in policies.iter_mut() {
-        p.workspace_mut().set_score_pool(score_pool.clone());
-    }
-
     // The configured arrangement oracle runs every policy's selections
     // — and OPT's, so the regret baseline uses the same combinatorial
-    // subroutine. Like the pool it is removed again after the run.
+    // subroutine. It is removed again after the run.
     let oracle = config.oracle.build();
     opt_policy.workspace_mut().set_oracle(Some(oracle.clone()));
     for p in policies.iter_mut() {
@@ -326,13 +299,9 @@ pub fn run_simulation(
         reference_exhausted_at,
     };
 
-    // Caller-owned policies must not keep pool workers alive after the
-    // run; dropping the last Arc joins them. The oracle is uninstalled
-    // for the same reason: it belongs to this run's config.
+    // The oracle belongs to this run's config, not to the caller's
+    // policies.
     for p in policies.iter_mut() {
-        if score_pool.is_some() {
-            p.workspace_mut().set_score_pool(None);
-        }
         p.workspace_mut().set_oracle(None);
     }
     result
@@ -457,7 +426,6 @@ mod tests {
             track_kendall: true,
             measure_time: true,
             feedback_seed: 42,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let res = run_simulation(&w, &mut policies, &cfg);
@@ -489,7 +457,6 @@ mod tests {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 9,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let res = run_simulation(&w, &mut policies, &cfg);
@@ -514,7 +481,6 @@ mod tests {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 10,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let res = run_simulation(&w, &mut policies, &cfg);
@@ -533,7 +499,6 @@ mod tests {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 17,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let res = run_simulation(&w, &mut policies, &cfg);
@@ -559,7 +524,6 @@ mod tests {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 5,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let mut p1: Vec<Box<dyn Policy>> = vec![Box::new(ThompsonSampling::new(5, 1.0, 0.1, 2))];
@@ -579,23 +543,22 @@ mod tests {
     #[test]
     fn parallel_scoring_reproduces_serial_results_exactly() {
         let w = small_workload(19);
-        let cfg_serial = RunConfig {
+        let cfg = RunConfig {
             horizon: 250,
             checkpoints: vec![125, 250],
             track_kendall: true,
             measure_time: false,
             feedback_seed: 77,
-            score_threads: 0,
             ..RunConfig::new(1)
-        };
-        let cfg_parallel = RunConfig {
-            score_threads: 4,
-            ..cfg_serial.clone()
         };
         let mut p1 = full_policy_set(5, 3);
         let mut p2 = full_policy_set(5, 3);
-        let r1 = run_simulation(&w, &mut p1, &cfg_serial);
-        let r2 = run_simulation(&w, &mut p2, &cfg_parallel);
+        let pool = std::sync::Arc::new(fasea_bandit::ScorePool::new(4));
+        for p in &mut p2 {
+            p.workspace_mut().set_score_pool(Some(pool.clone()));
+        }
+        let r1 = run_simulation(&w, &mut p1, &cfg);
+        let r2 = run_simulation(&w, &mut p2, &cfg);
         // Checkpoint derives PartialEq over exact counts and exact
         // floats (accept/regret ratios, Kendall τ): the parallel run
         // must be indistinguishable from serial.
@@ -604,11 +567,6 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.checkpoints, b.checkpoints, "{} diverged", a.name);
             assert_eq!(a.accounting.total_rewards(), b.accounting.total_rewards());
-        }
-        // The run uninstalled the pool from the caller's policies: no
-        // worker threads outlive run_simulation.
-        for p in &mut p2 {
-            assert!(p.workspace_mut().score_pool().is_none());
         }
     }
 
@@ -635,7 +593,6 @@ mod tests {
             track_kendall: false,
             measure_time: false,
             feedback_seed: 2,
-            score_threads: 0,
             ..RunConfig::new(1)
         };
         let res = run_simulation(&w, &mut policies, &cfg);

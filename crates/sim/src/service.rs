@@ -194,14 +194,6 @@ impl ArrangementService {
         self.policy.as_ref()
     }
 
-    /// Installs (or removes, with `None`) a shared [`ScorePool`] in the
-    /// wrapped policy's workspace. Parallel scoring is bit-identical to
-    /// serial, so this can be flipped at any round boundary — including
-    /// before WAL replay — without perturbing decisions.
-    pub fn install_score_pool(&mut self, pool: Option<Arc<fasea_bandit::ScorePool>>) {
-        self.policy.workspace_mut().set_score_pool(pool);
-    }
-
     /// Installs (or removes, with `None`) an external
     /// [`fasea_bandit::Arranger`] in the wrapped policy's workspace —
     /// the seam the sharded coordinator uses to fan the Oracle-Greedy

@@ -26,17 +26,18 @@ cargo build -q --examples
 echo "==> cargo bench --no-run"
 cargo bench -q --no-run
 
-# Smoke the scoring hot path (~2s): exercises the legacy-vs-batched and
-# serial-vs-parallel bit-equality assertions (including the |V| = 100k
-# and 1M ScorePool cells) with a tiny time budget. Deliberately does NOT
-# set FASEA_BENCH_JSON — the committed BENCH_scoring.json numbers come
-# from a full-budget run, not this smoke.
+# Smoke the scoring hot path (~15s): exercises the legacy, serial,
+# pooled and automatic paths' bit-equality assertions for UCB and TS on
+# every cell with a tiny time budget. Deliberately does NOT set
+# FASEA_BENCH_JSON — the committed BENCH_scoring.json numbers come from
+# a full-budget run, not this smoke.
 echo "==> scoring_hot_path smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench scoring_hot_path
 
-# Golden determinism through the parallel engine: a 4-thread ScorePool
-# run must land on the identical golden totals as serial.
-echo "==> parallel golden determinism (score_threads = 4)"
+# Golden determinism through the parallel engine: a run with a 4-thread
+# ScorePool forced into every policy must land on the identical golden
+# totals as one forced serial.
+echo "==> parallel golden determinism (forced 4-thread pool vs forced serial)"
 cargo test -q --test determinism_golden parallel_scoring_matches_serial_golden
 
 # Spill determinism: a personalized-policy run under a tiny model-store
@@ -76,7 +77,7 @@ cargo test -q --test shard_parity
 
 # Oracle-trait equivalence gate: GreedyOracle routed through the Oracle
 # trait must stay bit-equal to the pre-trait reference across all 7
-# policies x score-threads {1,2,8} x shards {1,2,4}, and TabuOracle
+# policies x forced score pools of {1,2,8} threads x shards {1,2,4}, and TabuOracle
 # must shard identically to its single-actor run.
 echo "==> oracle-trait equivalence (greedy bit-equal, tabu shard parity)"
 cargo test -q --test shard_parity oracle

@@ -16,9 +16,6 @@ fn tiny_opts(tag: &str) -> (Options, PathBuf) {
             real_rounds: 120,
             real_regret_rounds: 200,
             replications: 1,
-            // Smoke the deterministic parallel scoring path too — the
-            // pinned CSV shapes must be invariant to it.
-            score_threads: 2,
             oracle: fasea::bandit::OracleOptions::greedy(),
             churn_period: 0,
         },

@@ -29,9 +29,11 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fasea::bandit::{
-    EpsilonGreedy, Exploit, LinUcb, Opt, Policy, RandomPolicy, StaticScorePolicy, ThompsonSampling,
+    EpsilonGreedy, Exploit, LinUcb, Opt, Policy, RandomPolicy, ScorePool, StaticScorePolicy,
+    ThompsonSampling,
 };
 use fasea::core::EventId;
 use fasea::datagen::{SyntheticConfig, SyntheticWorkload};
@@ -515,8 +517,9 @@ fn in_doubt_transactions_resolve_by_coordinator_decision() {
 // ---- oracle-equivalence gate ----
 
 /// The `Oracle`-trait redesign must be invisible for the default
-/// oracle: explicitly installing [`OracleOptions::greedy`] — serial,
-/// pooled at {1, 2, 8} scoring threads, and over {1, 2, 4} shards —
+/// oracle: explicitly installing [`OracleOptions::greedy`] — with a
+/// {1, 2, 8}-thread score pool forced into the policy, and over
+/// {1, 2, 4} shards —
 /// must reproduce the default-options single-actor digest bit for bit
 /// (capacities, accounting, and policy state including RNG position)
 /// for every policy the repo ships.
@@ -542,15 +545,19 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
             d
         };
 
-        for score_threads in [1usize, 2, 8] {
-            let trait_opts = opts()
-                .with_oracle(OracleOptions::greedy())
-                .with_score_threads(score_threads);
-            let dir = tmp(&format!("oracle-single-{name}-{score_threads}"));
+        for pool_threads in [1usize, 2, 8] {
+            let pool = Arc::new(ScorePool::new(pool_threads));
+            let pooled_policy = || {
+                let mut p = policy_named(name);
+                p.workspace_mut().set_score_pool(Some(Arc::clone(&pool)));
+                p
+            };
+            let trait_opts = opts().with_oracle(OracleOptions::greedy());
+            let dir = tmp(&format!("oracle-single-{name}-{pool_threads}"));
             let mut svc = DurableArrangementService::open(
                 &dir,
                 w.instance.clone(),
-                policy_named(name),
+                pooled_policy(),
                 trait_opts,
             )
             .unwrap();
@@ -558,20 +565,18 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
             assert_eq!(
                 digest_single(&svc),
                 reference,
-                "{name}: trait greedy at {score_threads} scoring threads diverged"
+                "{name}: trait greedy at {pool_threads} scoring threads diverged"
             );
             drop(svc);
             fs::remove_dir_all(&dir).unwrap();
 
             for shards in [1usize, 2, 4] {
-                let dir = tmp(&format!("oracle-shard-{name}-{score_threads}-{shards}"));
+                let dir = tmp(&format!("oracle-shard-{name}-{pool_threads}-{shards}"));
                 let mut svc = ShardedArrangementService::open(
                     &dir,
                     w.instance.clone(),
-                    policy_named(name),
-                    opts()
-                        .with_oracle(OracleOptions::greedy())
-                        .with_score_threads(score_threads),
+                    pooled_policy(),
+                    opts().with_oracle(OracleOptions::greedy()),
                     shards,
                 )
                 .unwrap();
@@ -579,7 +584,7 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
                 assert_eq!(
                     digest_sharded(&svc),
                     reference,
-                    "{name}: trait greedy over {shards} shards / {score_threads} threads diverged"
+                    "{name}: trait greedy over {shards} shards / {pool_threads} threads diverged"
                 );
                 svc.close().unwrap();
                 fs::remove_dir_all(&dir).unwrap();

@@ -34,7 +34,6 @@ fn verify_reads_generated_artifacts() {
         real_rounds: 60,
         real_regret_rounds: 80,
         replications: 1,
-        score_threads: 0,
         ..Default::default()
     };
     run_experiment("fig1", &opts).unwrap();
