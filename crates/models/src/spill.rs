@@ -43,7 +43,7 @@
 //!   silently mixing state.
 
 use crate::ModelsError;
-use fasea_store::{read_raw_frame, write_raw_frame, RawFrame};
+use fasea_store::{parse_raw_frame, read_raw_frame, write_raw_frame, FrameParse, RawFrame};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -302,27 +302,37 @@ impl SpillLog {
     /// Reads back the latest blob for `(kind, key)`, CRC-verified.
     /// `None` if the key has never been spilled (or was cleared). Takes
     /// `&self`: the read seeks a borrowed handle, leaving append state
-    /// untouched (appends re-seek to their own write position).
+    /// untouched (appends re-seek to their own write position). The
+    /// index knows the whole frame's length, so the frame arrives in one
+    /// read and is checked in memory.
     pub fn read(&self, kind: u8, key: u64) -> Result<Option<Vec<u8>>, ModelsError> {
         debug_assert!(!self.in_batch, "reads during an open batch see stale state");
         let slot = match self.index.get(&(kind, key)) {
             Some(s) => *s,
             None => return Ok(None),
         };
+        let checksum_failed = ModelsError::Spill("spilled record failed its checksum");
+        let mut frame = vec![0u8; slot.frame_len as usize];
         let mut file = &self.file;
         file.seek(SeekFrom::Start(slot.offset))?;
-        let mut region = file.take(slot.frame_len);
-        match read_raw_frame(&mut region)? {
-            RawFrame::Payload { payload, .. } => {
+        match file.read_exact(&mut frame) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(checksum_failed),
+            Err(e) => return Err(e.into()),
+        }
+        match parse_raw_frame(&frame) {
+            FrameParse::Frame { payload, consumed } if consumed == frame.len() => {
                 if payload.len() < PAYLOAD_PREFIX
                     || u64::from_le_bytes(payload[..8].try_into().unwrap()) != key
                     || payload[8] != kind
                 {
                     return Err(ModelsError::Spill("spill index points at wrong record"));
                 }
-                Ok(Some(payload[PAYLOAD_PREFIX..].to_vec()))
+                let mut blob = payload;
+                blob.drain(..PAYLOAD_PREFIX);
+                Ok(Some(blob))
             }
-            _ => Err(ModelsError::Spill("spilled record failed its checksum")),
+            _ => Err(checksum_failed),
         }
     }
 

@@ -48,6 +48,7 @@ use fasea_core::{
     Arrangement, ContextMatrix, EventId, ProblemInstance, ProblemMode, RegretAccounting,
     UserArrival,
 };
+use fasea_store::record::{propose_payload_len, MAX_PAYLOAD};
 use fasea_store::snapshot::{latest_snapshot, prune_snapshots};
 use fasea_store::wal::Recovered;
 pub use fasea_store::FsyncPolicy;
@@ -345,13 +346,24 @@ impl DurableArrangementService {
     /// Store-level failures ([`ServiceError::Store`]), snapshot
     /// restoration failures ([`ServiceError::Snapshot`] /
     /// [`ServiceError::PolicyMismatch`]), and replay divergence
-    /// ([`ServiceError::RecoveryDiverged`]).
+    /// ([`ServiceError::RecoveryDiverged`]). An instance whose largest
+    /// `Propose` record would exceed the WAL's per-record limit is
+    /// refused with [`ServiceError::InstanceTooWide`] before anything
+    /// touches `dir`.
     pub fn open(
         dir: &Path,
         instance: ProblemInstance,
         mut policy: Box<dyn Policy>,
         options: DurableOptions,
     ) -> Result<Self, ServiceError> {
+        let n = instance.num_events();
+        let record_bytes = propose_payload_len(n, instance.dim(), n);
+        if record_bytes > u64::from(MAX_PAYLOAD) {
+            return Err(ServiceError::InstanceTooWide {
+                record_bytes,
+                limit: MAX_PAYLOAD,
+            });
+        }
         let fingerprint = fold_fingerprint_salt(
             service_fingerprint_with_oracle(&instance, policy.name(), &options.oracle),
             options.fingerprint_salt,
@@ -1133,6 +1145,36 @@ mod tests {
         assert_eq!(svc.rounds_completed(), 30);
         assert_eq!(svc.service().policy().save_state(), reference_state);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn instance_too_wide_to_log_is_refused_at_open() {
+        // Two events of a million dimensions: one Propose record would
+        // carry ~17.6 MB of contexts, above the 16 MiB frame limit.
+        let dir = tmp("too-wide");
+        let dim = 1_100_000;
+        let wide = ProblemInstance::new(
+            vec![1, 1],
+            ConflictGraph::from_pairs(2, &[]),
+            dim,
+            ProblemMode::Fasea,
+        );
+        let opts = DurableOptions {
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
+        match DurableArrangementService::open(&dir, wide, ts_policy(), opts) {
+            Err(ServiceError::InstanceTooWide {
+                record_bytes,
+                limit,
+            }) => {
+                assert_eq!(record_bytes, propose_payload_len(2, dim, 2));
+                assert_eq!(limit, MAX_PAYLOAD);
+            }
+            Err(other) => panic!("expected InstanceTooWide, got {other:?}"),
+            Ok(_) => panic!("a too-wide instance was opened"),
+        }
+        assert!(!dir.exists(), "a refused open must not touch the directory");
     }
 
     #[test]

@@ -69,6 +69,15 @@ pub enum ServiceError {
         /// Name of the policy supplied.
         found: String,
     },
+    /// The instance is too wide to log: a `Propose` record carrying its
+    /// full context block and a full-width arrangement would exceed the
+    /// WAL's per-record limit ([`fasea_store::record::MAX_PAYLOAD`]).
+    InstanceTooWide {
+        /// Payload bytes of the largest `Propose` record.
+        record_bytes: u64,
+        /// The per-record payload limit in bytes.
+        limit: u32,
+    },
     /// A lifecycle action named an event outside the instance.
     EventOutOfRange {
         /// The offending event id.
@@ -105,6 +114,14 @@ impl fmt::Display for ServiceError {
                     "persisted state is for policy {expected:?}, not {found:?}"
                 )
             }
+            ServiceError::InstanceTooWide {
+                record_bytes,
+                limit,
+            } => write!(
+                f,
+                "instance too wide to log: a Propose record would be {record_bytes} bytes, \
+                 above the {limit}-byte WAL record limit"
+            ),
             ServiceError::EventOutOfRange { event, num_events } => {
                 write!(
                     f,

@@ -66,7 +66,8 @@ pub enum Record {
         contexts: Vec<f64>,
         /// Arranged event indices.
         arrangement: Vec<u32>,
-        /// FNV-1a hash over the context bytes (fast integrity check).
+        /// Word-wise FNV-1a hash of the contexts ([`context_hash`]), a
+        /// fast integrity check.
         context_hash: u64,
     },
     /// The user's accept/reject answers for the pending proposal of
@@ -153,17 +154,27 @@ impl Record {
     }
 }
 
-/// FNV-1a over the little-endian bytes of a context block, the
-/// `context_hash` carried by [`Record::Propose`].
+/// Word-wise FNV-1a over a context block, the `context_hash` carried
+/// by [`Record::Propose`]: each value's 64-bit pattern is folded in
+/// whole, `h = (h ^ x.to_bits()) · FNV_PRIME`, one multiply per f64
+/// instead of eight. (WAL format v1 folded the eight bytes one at a
+/// time; [`crate::wal::VERSION`] 2 marks the change.)
 pub fn context_hash(contexts: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in contexts {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    contexts.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Payload length of a [`Record::Propose`] over `num_events × dim`
+/// contexts with `arranged` events: 41 fixed bytes (tag, seq, t,
+/// user_capacity, num_events, dim, arr_len, context_hash), 8 per context
+/// cell and 4 per arranged event. Saturates instead of overflowing, so
+/// callers can compare the result against [`MAX_PAYLOAD`] for any shape.
+pub fn propose_payload_len(num_events: usize, dim: usize, arranged: usize) -> u64 {
+    let cells = (num_events as u64).saturating_mul(dim as u64);
+    (41u64)
+        .saturating_add(cells.saturating_mul(8))
+        .saturating_add((arranged as u64).saturating_mul(4))
 }
 
 /// Serialises the payload (`tag | seq | body`) of one record.
@@ -228,7 +239,22 @@ pub fn encode_payload(seq: u64, record: &Record) -> Vec<u8> {
 /// Writes one raw frame (`len | crc | payload`) to `w`. Returns the
 /// number of bytes written. This is the framing primitive shared by the
 /// WAL and by `fasea-serve`'s wire protocol; the payload is opaque.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], with nothing written, when the
+/// payload exceeds [`MAX_PAYLOAD`]: every reader rejects such a frame as
+/// torn, so writing it would ack a record that recovery then drops.
+/// Otherwise, the writer's own errors.
 pub fn write_raw_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<u64> {
+    if payload.len() > MAX_PAYLOAD as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_PAYLOAD}-byte limit",
+                payload.len()
+            ),
+        ));
+    }
     let crc = crc32(payload);
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&crc.to_le_bytes())?;
@@ -759,5 +785,48 @@ mod tests {
     fn context_hash_is_order_sensitive() {
         assert_ne!(context_hash(&[1.0, 2.0]), context_hash(&[2.0, 1.0]));
         assert_eq!(context_hash(&[]), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn context_hash_golden() {
+        // Pins the word-wise definition that WAL format v2 records carry;
+        // a change here must bump `wal::VERSION` again.
+        let block: Vec<f64> = (0..6).map(|i| i as f64 * 0.25 - 0.5).collect();
+        assert_eq!(context_hash(&block), 0xeaac_fcfa_299d_713d);
+    }
+
+    #[test]
+    fn propose_payload_len_matches_encoding() {
+        for (n, d, arranged) in [(3usize, 2usize, 2usize), (1, 1, 0), (40, 5, 7)] {
+            let rec = Record::Propose {
+                t: 1,
+                user_capacity: 9,
+                num_events: n as u32,
+                dim: d as u32,
+                contexts: vec![0.5; n * d],
+                arrangement: (0..arranged as u32).collect(),
+                context_hash: 0,
+            };
+            assert_eq!(
+                encode_payload(3, &rec).len() as u64,
+                propose_payload_len(n, d, arranged)
+            );
+        }
+        assert_eq!(propose_payload_len(usize::MAX, 2, 0), u64::MAX);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_without_writing() {
+        let mut buf = Vec::new();
+        let err = write_raw_frame(&mut buf, &vec![0u8; MAX_PAYLOAD as usize + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
+        // The largest legal payload still frames and reads back.
+        let payload = vec![7u8; MAX_PAYLOAD as usize];
+        write_raw_frame(&mut buf, &payload).unwrap();
+        assert!(matches!(
+            parse_raw_frame(&buf),
+            FrameParse::Frame { consumed, .. } if consumed == buf.len()
+        ));
     }
 }

@@ -42,8 +42,11 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of every WAL segment.
 pub const MAGIC: &[u8; 8] = b"FASEAWAL";
-/// Current segment-format version.
-pub const VERSION: u32 = 1;
+/// Current segment-format version. Version 2 changed
+/// [`crate::record::context_hash`] to fold whole 64-bit words, so a v1
+/// log's `Propose` hashes would not verify; it is refused up front with
+/// [`StoreError::BadVersion`] instead of failing replay part-way.
+pub const VERSION: u32 = 2;
 /// Size of the segment header in bytes.
 pub const HEADER_BYTES: u64 = 32;
 
@@ -708,6 +711,57 @@ mod tests {
             }
             other => panic!("expected ForeignInstance, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_segment_rejected() {
+        let dir = tmp("version");
+        let opts = WalOptions::default();
+        {
+            let (mut wal, _) = Wal::open(&dir, 1, opts).unwrap();
+            wal.append(&marker(0)).unwrap();
+            wal.sync().unwrap();
+        }
+        let seg = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&seg, bytes).unwrap();
+        assert_eq!(
+            Wal::open(&dir, 1, opts).unwrap_err(),
+            StoreError::BadVersion { found: 1 }
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_record_is_refused_and_acked_records_survive() {
+        // An append whose frame no reader would accept must fail without
+        // writing, not be acked and then truncated away with every
+        // record after it.
+        let dir = tmp("oversized");
+        let opts = WalOptions {
+            segment_bytes: 64 << 20,
+            fsync: FsyncPolicy::Always,
+        };
+        let huge = Record::Feedback {
+            t: 1,
+            accepts: vec![true; crate::record::MAX_PAYLOAD as usize + 1],
+        };
+        {
+            let (mut wal, _) = Wal::open(&dir, 5, opts).unwrap();
+            assert_eq!(wal.append(&feedback(0, 3)).unwrap(), 0);
+            match wal.append(&huge) {
+                Err(StoreError::Io { kind, .. }) => {
+                    assert_eq!(kind, std::io::ErrorKind::InvalidInput)
+                }
+                other => panic!("oversized append returned {other:?}"),
+            }
+            assert_eq!(wal.append(&feedback(2, 3)).unwrap(), 1);
+        }
+        let (_, rec) = Wal::open(&dir, 5, opts).unwrap();
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(rec.records, vec![(0, feedback(0, 3)), (1, feedback(2, 3))]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -108,6 +108,13 @@ FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench pipeline_throughput
 echo "==> oracle_compare smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench oracle_compare
 
+# End-to-end smoke of the benchmark package (its own workspace, so the
+# workspace test run above skips it): all four workloads at quick size,
+# untraced and traced, with served replay parity, so wire framing and the
+# current WAL format run through a real server.
+echo "==> fasea-benchmark smoke (four workloads, quick size)"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+
 # Every committed bench-result table must still parse and keep the
 # shared schema (object with "bench"/"units"/non-empty "cells" of flat
 # scalar cells) so downstream tooling never reads a drifted artefact.
