@@ -1,17 +1,15 @@
-//! Pipelined round-engine throughput at *equal durability* (every
-//! acked round fsynced before the caller proceeds), at two layers:
+//! Grant-ahead serving throughput at *equal durability* (every acked
+//! round fsynced before the client proceeds): a loopback server at
+//! `pipeline_depth` ∈ {1, 4} under four concurrent clients. Depth 1
+//! admits one round at a time (each client's claim waits for the
+//! previous round's feedback); depth 4 grants four consecutive rounds
+//! at once, so future rounds' network turnaround and decode overlap the
+//! head round. The actor stays single-threaded and executes every round
+//! in order, so depth adds no compute parallelism.
 //!
-//! * **sim** — the [`RoundPipeline`] driving a durable service with
-//!   group commit: depth 1 is the sequential loop; depth ≥ 2 prefetches
-//!   round t+1's contexts and `score_into` kernel work while round t's
-//!   feedback record waits in the commit queue. Even on one core the
-//!   overlap is real — the fsync is I/O wait, not compute — but the
-//!   *compute* overlap only materialises with cores to spare.
-//! * **serve** — a loopback server at `pipeline_depth` ∈ {1, 4} under
-//!   four concurrent clients: depth 1 admits one round at a time (each
-//!   client's claim waits for the previous round's feedback), depth 4
-//!   grants four consecutive rounds at once so network turnaround and
-//!   speculative scoring overlap.
+//! Every event has a capacity the measurement window cannot exhaust,
+//! and each cell ends by asserting over STATS that no event ran dry:
+//! a drained instance would time mostly empty rounds.
 //!
 //! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
 //! file, the measured table is also written there as JSON — that is how
@@ -31,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use fasea_bandit::LinUcb;
 use fasea_core::EventId;
-use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
+use fasea_datagen::{CapacityModel, SyntheticConfig, SyntheticWorkload};
 use fasea_serve::{ClientConfig, ServeClient, Server, ServerConfig};
-use fasea_sim::{DurableArrangementService, DurableOptions, RoundPipeline};
+use fasea_sim::{DurableArrangementService, DurableOptions};
 use fasea_stats::CoinStream;
 use fasea_store::FsyncPolicy;
 
@@ -41,13 +39,16 @@ const SEED: u64 = 0x919E_5EED;
 const NUM_EVENTS: usize = 30;
 const DIM: usize = 5;
 const CLIENTS: usize = 4;
-const CHUNK: u64 = 64;
 
 fn workload() -> SyntheticWorkload {
     SyntheticWorkload::generate(SyntheticConfig {
         num_events: NUM_EVENTS,
         dim: DIM,
         seed: SEED,
+        capacity: CapacityModel {
+            mean: 1e6,
+            std: 0.0,
+        },
         ..SyntheticConfig::default()
     })
 }
@@ -74,60 +75,10 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 }
 
 struct Cell {
-    layer: &'static str,
     depth: usize,
     clients: usize,
     rounds: u64,
     rounds_per_sec: f64,
-}
-
-/// Sim layer: the pipelined engine against a group-commit durable
-/// service, timed over `window` in fixed-size chunks.
-fn run_sim_cell(depth: usize, window: Duration) -> Cell {
-    let dir = tmp(&format!("sim-{depth}"));
-    let w = workload();
-    let mut svc = DurableArrangementService::open(
-        &dir,
-        w.instance.clone(),
-        Box::new(LinUcb::new(DIM, 1.0, 2.0)),
-        durable_opts(),
-    )
-    .unwrap();
-    let coins = CoinStream::new(SEED ^ 0xFEED);
-    let mut pipe = RoundPipeline::new(depth);
-    let started = Instant::now();
-    let deadline = started + window;
-    while Instant::now() < deadline {
-        let upto = svc.rounds_completed() + CHUNK;
-        pipe.run(
-            &mut svc,
-            upto,
-            |t| w.arrivals.arrival(t),
-            |t, a| {
-                let arrival = w.arrivals.arrival(t);
-                a.events()
-                    .iter()
-                    .map(|&v| {
-                        coins.uniform(t, v.index() as u64)
-                            < w.model.accept_probability(&arrival.contexts, v)
-                    })
-                    .collect()
-            },
-            None,
-        )
-        .unwrap();
-    }
-    let elapsed = started.elapsed();
-    let rounds = svc.rounds_completed();
-    svc.close().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    Cell {
-        layer: "sim",
-        depth,
-        clients: 1,
-        rounds,
-        rounds_per_sec: rounds as f64 / elapsed.as_secs_f64(),
-    }
 }
 
 fn drive_one_round(client: &mut ServeClient, workload: &SyntheticWorkload, coins: &CoinStream) {
@@ -160,8 +111,8 @@ fn drive_one_round(client: &mut ServeClient, workload: &SyntheticWorkload, coins
     client.feedback(&accepts).unwrap();
 }
 
-/// Serve layer: four concurrent loopback clients against a server at
-/// the given admission depth, group commit on, fsync before ack.
+/// Four concurrent loopback clients against a server at the given
+/// admission depth, group commit on, fsync before ack.
 fn run_serve_cell(depth: usize, window: Duration) -> Cell {
     let dir = tmp(&format!("serve-{depth}"));
     let svc = DurableArrangementService::open(
@@ -222,6 +173,15 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
     .unwrap();
     let elapsed = started.elapsed();
 
+    let stats = ServeClient::connect(addr, ClientConfig::default())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(
+        stats.available_events, NUM_EVENTS as u32,
+        "depth {depth}: an event ran out of capacity inside the window"
+    );
+
     handle.initiate_shutdown();
     let report = handle.join();
     assert!(report.close.error.is_none(), "{:?}", report.close.error);
@@ -229,7 +189,6 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
 
     let rounds = completed.load(Ordering::Relaxed);
     Cell {
-        layer: "serve",
         depth,
         clients: CLIENTS,
         rounds,
@@ -240,25 +199,16 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
 fn main() {
     let window = budget();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_depth = 4usize;
-    if host_cores < max_depth {
+    if host_cores < CLIENTS {
         println!(
-            "WARNING: host has {host_cores} core(s) but the deepest measured pipeline_depth \
-             is {max_depth} — prefetch and speculation have no spare cores to run on, so \
-             depth>1 numbers measure I/O overlap only and UNDERSTATE multi-core scaling. \
-             Re-baseline on a host with >= {max_depth} cores before quoting speedups."
+            "WARNING: host has {host_cores} core(s) for {CLIENTS} loopback clients plus the \
+             server's workers, actor and syncer, so clients compete with the server for CPU. \
+             Depth>1 overlaps network turnaround and fsync waits, not compute (the actor \
+             is single-threaded); quote its ratio together with host_cores."
         );
     }
 
     let mut cells = Vec::new();
-    for depth in [1usize, 2, 4] {
-        let cell = run_sim_cell(depth, window);
-        println!(
-            "pipeline_throughput/sim/depth={}   {:>8} rounds   {:>10.1} rounds/sec",
-            cell.depth, cell.rounds, cell.rounds_per_sec,
-        );
-        cells.push(cell);
-    }
     for depth in [1usize, 4] {
         let cell = run_serve_cell(depth, window);
         println!(
@@ -268,28 +218,20 @@ fn main() {
         cells.push(cell);
     }
 
-    let baseline = |layer: &str| {
-        cells
-            .iter()
-            .find(|c| c.layer == layer && c.depth == 1)
-            .map(|c| c.rounds_per_sec)
-    };
-    for c in cells.iter().filter(|c| c.depth > 1) {
-        if let Some(base) = baseline(c.layer) {
-            println!(
-                "{} depth {} vs depth 1: {:.2}x",
-                c.layer,
-                c.depth,
-                c.rounds_per_sec / base,
-            );
-        }
+    let base = cells[0].rounds_per_sec;
+    for c in &cells[1..] {
+        println!(
+            "serve depth {} vs depth 1: {:.2}x",
+            c.depth,
+            c.rounds_per_sec / base
+        );
     }
 
     if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
         // `check-bench` rejects >1x speedups on a single-core host
         // unless the table says where they come from.
         let caveat = if host_cores == 1 {
-            "\n  \"caveat\": \"single-core host: depth>1 gains reflect overlap with fsync I/O wait only; compute overlap needs more cores (see the bench's stdout warning)\","
+            "\n  \"caveat\": \"single-core host: clients and server share one core; depth>1 gains reflect overlap with network and fsync waits only\","
         } else {
             ""
         };
@@ -297,13 +239,13 @@ fn main() {
             "{{\n  \"bench\": \"pipeline_throughput\",\n  \"units\": \"rounds_per_sec\",\n  \"durability\": \"fsync_before_ack\",\n  \"host_cores\": {host_cores},{caveat}\n  \"cells\": [\n",
         );
         for (i, c) in cells.iter().enumerate() {
-            let speedup = match (c.depth, baseline(c.layer)) {
-                (d, Some(base)) if d > 1 => format!("{:.2}", c.rounds_per_sec / base),
-                _ => "null".into(),
+            let speedup = if c.depth > 1 {
+                format!("{:.2}", c.rounds_per_sec / base)
+            } else {
+                "null".into()
             };
             json.push_str(&format!(
-                "    {{\"layer\": \"{}\", \"pipeline_depth\": {}, \"clients\": {}, \"rounds\": {}, \"rounds_per_sec\": {:.1}, \"speedup_vs_depth1\": {speedup}}}{}\n",
-                c.layer,
+                "    {{\"layer\": \"serve\", \"pipeline_depth\": {}, \"clients\": {}, \"rounds\": {}, \"rounds_per_sec\": {:.1}, \"speedup_vs_depth1\": {speedup}}}{}\n",
                 c.depth,
                 c.clients,
                 c.rounds,

@@ -17,19 +17,18 @@
 //! *consecutive* rounds at once: the head grant is the round the
 //! service is actually at (`rounds_completed()`), later grants carry
 //! future round numbers. Clients of future rounds may send their
-//! `PROPOSE` early; the actor buffers it and — for policies whose
-//! scoring is RNG-free ([`fasea_bandit::Policy::scoring_is_deterministic`])
-//! — speculatively runs the `score_into` kernel now, stashing the
-//! score vector tagged with the current model-version epoch. When the
-//! head round's feedback lands, the next buffered proposal is
-//! *promoted*: executed against the service in strict round order, so
-//! the WAL records the exact depth-1 interleaving. If the intervening
-//! feedback touched the model, the stash's epoch no longer matches —
-//! counted as a `conflict_replays` — and the promoted round re-scores
-//! deterministically; the arrangement step always runs fresh against
-//! the live capacities either way. Depth therefore changes *when* work
-//! happens, never *what* is decided: the final WAL and state digest are
-//! bit-equal to `pipeline_depth = 1` (gated by `tests/pipeline_parity.rs`).
+//! `PROPOSE` early; the actor buffers it untouched. When the head
+//! round's feedback lands, the next buffered proposal is *promoted*:
+//! executed against the service in strict round order, so it is scored
+//! and arranged against exactly the state a depth-1 run would show it,
+//! and the WAL records the exact depth-1 interleaving. Nothing is
+//! scored ahead of its round: Definition 3 applies round `t`'s feedback
+//! before round `t + 1` is proposed, so a score vector computed early
+//! is stale whenever round `t` arranged anything. Depth therefore
+//! overlaps only future rounds' network turnaround and decode with the
+//! head round's work and commit wait; the actor itself stays
+//! single-threaded, and the final WAL and state are bit-equal to
+//! `pipeline_depth = 1` (gated by `tests/serve_end_to_end.rs`).
 //!
 //! # Group commit: deferred acknowledgements
 //!
@@ -229,14 +228,6 @@ struct Grant {
 struct BufferedPropose {
     user: UserArrival,
     reply: Sender<Response>,
-    /// Set when the score kernel already ran speculatively.
-    speculation: Option<Speculation>,
-}
-
-/// What the world looked like when a buffered proposal was
-/// speculatively scored; compared at promotion to detect conflicts.
-struct Speculation {
-    model_epoch: u64,
 }
 
 /// The actor state machine. Owns the durable service for its lifetime.
@@ -251,8 +242,6 @@ pub struct ServiceActor {
     pipeline_depth: usize,
     /// Granted in-flight rounds, in round order (head first).
     grants: VecDeque<Grant>,
-    /// Workspace prefetch counters already drained into the metrics.
-    prefetch_seen: fasea_bandit::PrefetchStats,
     /// Workspace model-tier counters already drained into the metrics.
     tier_seen: fasea_bandit::ModelTierStats,
     waiters: VecDeque<Waiter>,
@@ -340,7 +329,6 @@ impl ServiceActor {
             poll_interval,
             pipeline_depth: pipeline_depth.max(1),
             grants: VecDeque::new(),
-            prefetch_seen: fasea_bandit::PrefetchStats::default(),
             tier_seen: fasea_bandit::ModelTierStats::default(),
             waiters: VecDeque::new(),
             poisoned: false,
@@ -449,7 +437,7 @@ impl ServiceActor {
                 // The round number was promised, so the slot stays and
                 // is re-granted to the next waiter under the same `t`.
                 self.grants[idx].conn = None;
-                self.drop_buffered(idx);
+                self.grants[idx].buffered = None;
                 self.metrics.releases.incr();
                 let _ = reply.send(Response::ReleaseOk);
             }
@@ -476,19 +464,12 @@ impl ServiceActor {
             }
             Command::Disconnect { conn } => {
                 self.waiters.retain(|w| w.conn != conn);
-                let dropped: Vec<usize> = self
-                    .grants
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.conn == Some(conn))
-                    .map(|(i, _)| i)
-                    .collect();
-                for idx in dropped {
-                    self.grants[idx].conn = None;
+                for g in self.grants.iter_mut().filter(|g| g.conn == Some(conn)) {
+                    g.conn = None;
                     // A buffered proposal dies with its connection: it
                     // was never executed against the service, so the
                     // round is simply re-granted un-proposed.
-                    self.drop_buffered(idx);
+                    g.buffered = None;
                     self.metrics.reassigned_rounds.incr();
                 }
             }
@@ -554,18 +535,6 @@ impl ServiceActor {
     /// The grant slot `conn` currently holds, if any.
     fn grant_index(&self, conn: u64) -> Option<usize> {
         self.grants.iter().position(|g| g.conn == Some(conn))
-    }
-
-    /// Discards grant `idx`'s buffered proposal, if any. A speculated
-    /// stash must die with the proposal it was computed from: the round
-    /// may later be re-proposed with *different contexts*, which the
-    /// stash's (round, epoch) tag alone cannot detect.
-    fn drop_buffered(&mut self, idx: usize) {
-        if let Some(b) = self.grants[idx].buffered.take() {
-            if b.speculation.is_some() {
-                self.svc.clear_prefetch();
-            }
-        }
     }
 
     /// Hands rounds to the oldest live waiters: vacated slots first
@@ -689,34 +658,7 @@ impl ServiceActor {
             ));
             return;
         }
-        // Optimistic speculation: run the score kernel now when it is
-        // safe (next in line, RNG-free scoring). The stash is epoch
-        // tagged — a conflicting model update before promotion is
-        // detected there and the round re-scores deterministically.
-        let t = self.grants[idx].t;
-        let speculation = if idx == 1 {
-            self.speculate(t, &user)
-        } else {
-            None
-        };
-        self.grants[idx].buffered = Some(BufferedPropose {
-            user,
-            reply,
-            speculation,
-        });
-    }
-
-    /// Runs the score kernel for future round `t` now, if that can
-    /// never change what is later decided: the policy must consume no
-    /// randomness while scoring (otherwise a discarded stash would
-    /// fork the RNG stream from the depth-1 run).
-    fn speculate(&mut self, t: u64, user: &UserArrival) -> Option<Speculation> {
-        if !self.svc.service().policy().scoring_is_deterministic() {
-            return None;
-        }
-        let model_epoch = self.svc.model_epoch();
-        self.svc.prefetch_scores(t, user).ok()?;
-        Some(Speculation { model_epoch })
+        self.grants[idx].buffered = Some(BufferedPropose { user, reply });
     }
 
     /// Executes a proposal for the head round and replies. Shared by
@@ -730,7 +672,6 @@ impl ServiceActor {
                     self.metrics.propose_us.observe(started.elapsed());
                     self.metrics.proposes.incr();
                     self.svc.drain_shard_metrics(&self.metrics);
-                    self.drain_prefetch_metrics();
                     // Replied immediately: compute-then-log makes an
                     // undurable Propose harmless (recovery re-draws it
                     // identically), and its LSN precedes the feedback
@@ -753,7 +694,6 @@ impl ServiceActor {
                 self.metrics.propose_us.observe(started.elapsed());
                 self.metrics.proposes.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
-                self.drain_prefetch_metrics();
                 let _ = reply.send(Response::Proposed {
                     t,
                     arrangement: arrangement
@@ -765,19 +705,6 @@ impl ServiceActor {
             }
             Err(err) => self.reply_service_error(err, &reply),
         }
-    }
-
-    /// Folds newly accumulated workspace prefetch counters into the
-    /// serving metrics.
-    fn drain_prefetch_metrics(&mut self) {
-        let s = self.svc.prefetch_stats();
-        self.metrics
-            .prefetch_hit
-            .add(s.hits - self.prefetch_seen.hits);
-        self.metrics
-            .prefetch_recompute
-            .add(s.recomputes - self.prefetch_seen.recomputes);
-        self.prefetch_seen = s;
     }
 
     /// Folds newly accumulated workspace model-tier counters (cohort
@@ -796,10 +723,7 @@ impl ServiceActor {
 
     /// After the head round completed: if the next grant already sent
     /// its proposal, execute it now — in round order, which is what
-    /// keeps the WAL bit-equal to sequential admission. Conflicts
-    /// (the just-applied feedback moved the model epoch after a
-    /// speculation) are counted; the re-scoring itself happens inside
-    /// `select_into` when it finds the stale stash.
+    /// keeps the WAL bit-equal to sequential admission.
     fn promote_buffered(&mut self) {
         let Some(head) = self.grants.front_mut() else {
             return;
@@ -808,11 +732,6 @@ impl ServiceActor {
             return;
         };
         let t = head.t;
-        if let Some(spec) = &b.speculation {
-            if spec.model_epoch != self.svc.model_epoch() {
-                self.metrics.conflict_replays.incr();
-            }
-        }
         self.apply_churn(t);
         self.execute_propose(b.user, b.reply);
     }
@@ -1194,8 +1113,7 @@ mod tests {
             "{early:?}"
         );
         // Round 1's proposal arrives before round 0 even proposed: it
-        // is buffered (and speculatively scored — LinUcb is RNG-free),
-        // with the reply withheld until promotion.
+        // is buffered, with the reply withheld until promotion.
         let (p2_tx, p2_rx) = mpsc::channel();
         tx.send(Command::Propose {
             conn: 2,
@@ -1284,9 +1202,9 @@ mod tests {
             reply,
         });
         assert!(matches!(g2, Response::Claimed { t: 1, .. }));
-        // conn 2 buffers a (speculated) proposal, then dies: the slot is
-        // re-granted under the same round number and the speculative
-        // stash is discarded with the proposal it was computed from.
+        // conn 2 buffers a proposal, then dies: the slot is re-granted
+        // under the same round number and the buffered proposal is
+        // discarded with its connection.
         let (p2_tx, _p2_rx) = mpsc::channel();
         tx.send(Command::Propose {
             conn: 2,

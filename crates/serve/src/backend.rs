@@ -138,30 +138,6 @@ impl BackendService {
         delegate!(self.service())
     }
 
-    /// See [`DurableArrangementService::prefetch_scores`] — legal on
-    /// both backends (sharded scoring stays on the coordinator), writes
-    /// nothing to any WAL.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        delegate!(self.prefetch_scores(t, user))
-    }
-
-    /// See [`DurableArrangementService::model_epoch`].
-    pub fn model_epoch(&self) -> u64 {
-        delegate!(self.model_epoch())
-    }
-
-    /// See [`DurableArrangementService::clear_prefetch`] — invalidates
-    /// any speculative stash whose buffered proposal was dropped.
-    pub fn clear_prefetch(&mut self) {
-        delegate!(self.clear_prefetch())
-    }
-
-    /// Cumulative prefetch hit/recompute counters of the policy
-    /// workspace (the actor drains deltas into its metrics).
-    pub fn prefetch_stats(&self) -> fasea_bandit::PrefetchStats {
-        self.service().policy().workspace().prefetch_stats()
-    }
-
     /// Cumulative model-tier counters of the policy workspace —
     /// cohort-prior select hits and sketch-record promotions, published
     /// by the personalized policies (all-zero for global policies). The

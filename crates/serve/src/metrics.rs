@@ -170,15 +170,6 @@ registry! {
         overloaded,
         /// Rounds re-granted after their owner disconnected.
         reassigned_rounds,
-        /// Rounds whose speculatively prefetched score set was reused
-        /// verbatim at propose time.
-        prefetch_hit,
-        /// Rounds whose prefetched score set was stale (model epoch
-        /// moved) and was deterministically recomputed.
-        prefetch_recompute,
-        /// Optimistic admissions invalidated by an intervening model
-        /// update — resolved in round order by re-scoring the loser.
-        conflict_replays,
         /// Cold-user selections served through a materialized cohort
         /// prior (personalized policies with `--cohorts` only).
         cohort_hits,
@@ -286,9 +277,6 @@ mod tests {
         let counters = m.wire_counters();
         assert_eq!(counters[0].0, "connections_opened");
         assert!(counters.iter().any(|(n, v)| n == "requests" && *v == 2));
-        assert!(counters.iter().any(|(n, _)| n == "prefetch_hit"));
-        assert!(counters.iter().any(|(n, _)| n == "prefetch_recompute"));
-        assert!(counters.iter().any(|(n, _)| n == "conflict_replays"));
         assert!(counters.iter().any(|(n, _)| n == "cohort_hits"));
         assert!(counters.iter().any(|(n, _)| n == "sketch_promotions"));
         let hists = m.wire_histograms();

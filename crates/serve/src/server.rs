@@ -73,9 +73,9 @@ pub struct ServerConfig {
     /// default. Clients driving a local verification replica must use
     /// the same schedule to stay byte-identical.
     pub churn: fasea_core::ChurnSchedule,
-    /// Maximum concurrently granted rounds (optimistic admission).
+    /// Maximum concurrently granted rounds (grant-ahead admission).
     /// 1 (the default) is strictly sequential; higher depths overlap
-    /// future rounds' network turnaround and speculative scoring while
+    /// future rounds' network turnaround with the head round while
     /// keeping the WAL bit-equal to depth 1 — see the actor docs.
     pub pipeline_depth: usize,
 }

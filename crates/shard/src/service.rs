@@ -392,11 +392,6 @@ impl ShardedArrangementService {
         self.inner.durable_lsn()
     }
 
-    /// See [`DurableArrangementService::wait_durable`].
-    pub fn wait_durable(&self, lsn: u64) -> Result<(), ServiceError> {
-        self.inner.wait_durable(lsn)
-    }
-
     /// See [`DurableArrangementService::group_commit_enabled`].
     pub fn group_commit_enabled(&self) -> bool {
         self.inner.group_commit_enabled()
@@ -415,28 +410,6 @@ impl ShardedArrangementService {
     /// The wrapped in-memory service (all read accessors).
     pub fn service(&self) -> &ArrangementService {
         self.inner.service()
-    }
-
-    /// See [`DurableArrangementService::prefetch_scores`]. Scoring
-    /// happens on the coordinator's policy (only the *ranking* fans out
-    /// to shard actors), so a prefetch touches no shard state and no
-    /// shard log — it composes trivially with the per-shard write sets
-    /// and the cross-shard 2PC.
-    ///
-    /// # Errors
-    /// [`ServiceError::ContextShapeMismatch`] on malformed input.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        self.inner.prefetch_scores(t, user)
-    }
-
-    /// See [`DurableArrangementService::model_epoch`].
-    pub fn model_epoch(&self) -> u64 {
-        self.inner.model_epoch()
-    }
-
-    /// See [`DurableArrangementService::clear_prefetch`].
-    pub fn clear_prefetch(&mut self) {
-        self.inner.clear_prefetch();
     }
 
     /// See [`DurableArrangementService::has_pending`].
@@ -492,38 +465,6 @@ impl ShardedArrangementService {
         }
         let snapshot = self.inner.close()?;
         first_err.map_or(Ok(snapshot), |e| Err(ServiceError::Store(e)))
-    }
-}
-
-/// The sharded coordinator drives under [`fasea_sim::RoundPipeline`]
-/// like the single-actor backends: scoring (and hence prefetching)
-/// stays on the coordinator thread, feedback runs the cross-shard 2PC
-/// in `feedback_begin` and gates acknowledgement on the coordinator
-/// LSN in `wait_durable`.
-impl fasea_sim::PipelinedBackend for ShardedArrangementService {
-    fn rounds_completed(&self) -> u64 {
-        ShardedArrangementService::rounds_completed(self)
-    }
-    fn pending_arrangement(&self) -> Option<Arrangement> {
-        ShardedArrangementService::pending_arrangement(self).cloned()
-    }
-    fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        ShardedArrangementService::propose(self, user)
-    }
-    fn feedback_begin(&mut self, accepts: &[bool]) -> Result<(u32, u64), ServiceError> {
-        self.feedback_deferred(accepts)
-    }
-    fn wait_durable(&self, token: u64) -> Result<(), ServiceError> {
-        ShardedArrangementService::wait_durable(self, token)
-    }
-    fn lifecycle(&mut self, event: u32, capacity: u32) -> Result<u32, ServiceError> {
-        ShardedArrangementService::lifecycle(self, event, capacity)
-    }
-    fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        ShardedArrangementService::prefetch_scores(self, t, user)
-    }
-    fn prefetch_stats(&self) -> fasea_bandit::PrefetchStats {
-        self.service().policy().workspace().prefetch_stats()
     }
 }
 

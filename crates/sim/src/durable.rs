@@ -719,29 +719,6 @@ impl DurableArrangementService {
         self.service.install_arranger(arranger);
     }
 
-    /// Speculatively computes round `t`'s scores and stashes them in
-    /// the policy workspace, tagged with the current model epoch — see
-    /// [`ArrangementService::prefetch_scores`]. Writes **nothing** to
-    /// the WAL: the stash is pure scratch, and a crash between prefetch
-    /// and propose recovers to exactly the unprefetched state.
-    ///
-    /// # Errors
-    /// [`ServiceError::ContextShapeMismatch`] on malformed input.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        self.service.prefetch_scores(t, user)
-    }
-
-    /// The policy workspace's model-version epoch (see
-    /// [`ArrangementService::model_epoch`]).
-    pub fn model_epoch(&self) -> u64 {
-        self.service.model_epoch()
-    }
-
-    /// See [`ArrangementService::clear_prefetch`].
-    pub fn clear_prefetch(&mut self) {
-        self.service.clear_prefetch();
-    }
-
     /// `true` if a proposal awaits feedback — including one recovered
     /// from a log that ended mid-round. The caller decides how to
     /// resolve it; the service never silently re-proposes.

@@ -31,7 +31,6 @@
 pub mod durable;
 pub mod memory;
 pub mod multi_user;
-pub mod pipeline;
 pub mod plot;
 pub mod real_runner;
 pub mod report;
@@ -49,7 +48,6 @@ pub use memory::MemoryModel;
 pub use multi_user::{
     run_multi_user, run_multi_user_stored, LearnerArchitecture, MultiUserRunResult,
 };
-pub use pipeline::{PipelineStats, PipelinedBackend, RoundPipeline};
 pub use real_runner::{run_real, CuMode, RealRunConfig, RealRunResult};
 pub use report::{ascii_chart, write_csv, AsciiTable, CsvTable, CsvWriter};
 pub use rotating::{run_rotating, RotatingRunResult};

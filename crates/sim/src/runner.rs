@@ -337,8 +337,8 @@ fn step_policy<M: RewardModel + Clone>(
     st.policy
         .observe(t, &arrival.contexts, &st.arrangement, &outcome.feedback);
     // Keep the workspace's model epoch in step with learner updates so
-    // prefetched score sets (the pipelined engine) can never be reused
-    // across a model change.
+    // a score set stashed by `Policy::prefetch_scores` can never be
+    // reused across a model change.
     if !st.arrangement.is_empty() {
         st.policy.workspace_mut().bump_model_epoch();
     }

@@ -375,10 +375,11 @@ impl ArrangementService {
         }
         self.policy.observe(self.t, &contexts, &arrangement, &fb);
         // An observe over a non-empty arrangement updates learner state,
-        // so any prefetched score set stashed before this point is now
-        // stale. Empty arrangements are no-ops for every policy
-        // (estimators fold in one rank-1 update per *arranged* event),
-        // so the epoch — and with it any stash — survives them.
+        // so any score set stashed by `Policy::prefetch_scores` before
+        // this point is now stale. Empty arrangements are no-ops for
+        // every policy (estimators fold in one rank-1 update per
+        // *arranged* event), so the epoch — and with it any stash —
+        // survives them.
         if !arrangement.is_empty() {
             self.policy.workspace_mut().bump_model_epoch();
         }
@@ -386,64 +387,6 @@ impl ArrangementService {
         self.accounting.record_round(arrangement.len(), reward);
         self.t += 1;
         Ok(reward)
-    }
-
-    /// Speculatively computes round `t`'s scores for `user` and stashes
-    /// them in the policy workspace, tagged with the current model
-    /// epoch ([`fasea_bandit::ScoreWorkspace::stash_prefetch`]). A
-    /// subsequent [`ArrangementService::propose`] for the same round
-    /// reuses the stash if no intervening feedback touched the model,
-    /// and recomputes deterministically otherwise — proposals are
-    /// bit-identical either way, prefetching only moves the kernel work
-    /// earlier in time.
-    ///
-    /// Unlike `propose`, this is legal while a proposal is pending: the
-    /// stash is computed against the current model and invalidated by
-    /// the pending round's feedback exactly when that feedback is
-    /// non-empty.
-    ///
-    /// Callers that cannot guarantee the stash will be consumed before
-    /// any other selection must first check
-    /// `service.policy().scoring_is_deterministic()` — prefetching a
-    /// sampling policy speculatively would consume its RNG twice on a
-    /// discarded stash (see [`fasea_bandit::Policy::prefetch_scores`]).
-    ///
-    /// # Errors
-    /// [`ServiceError::ContextShapeMismatch`] on malformed input.
-    pub fn prefetch_scores(&mut self, t: u64, user: &UserArrival) -> Result<(), ServiceError> {
-        if user.contexts.num_events() != self.instance.num_events()
-            || user.contexts.dim() != self.instance.dim()
-        {
-            return Err(ServiceError::ContextShapeMismatch);
-        }
-        let view = SelectionView {
-            t,
-            user_capacity: user.capacity,
-            contexts: &user.contexts,
-            conflicts: self.instance.conflicts(),
-            // Scores never read `remaining` (only the arrangement step
-            // does, and that always runs fresh at propose time), so the
-            // current snapshot is fine even for a future round.
-            remaining: &self.remaining,
-        };
-        self.policy.prefetch_scores(&view);
-        Ok(())
-    }
-
-    /// Drops any stashed prefetch without scoring it. Required when the
-    /// proposal a stash was computed for is withdrawn (e.g. its serve
-    /// connection died) — the round may be re-proposed with different
-    /// contexts, which the (round, epoch) tag cannot detect.
-    pub fn clear_prefetch(&mut self) {
-        self.policy.workspace_mut().clear_prefetch();
-    }
-
-    /// The model-version epoch of the wrapped policy's workspace:
-    /// incremented on every feedback that updated learner state. The
-    /// pipelined engines use (round, epoch) equality to decide whether
-    /// a prefetched score set is still valid.
-    pub fn model_epoch(&self) -> u64 {
-        self.policy.workspace().model_epoch()
     }
 
     /// Number of events that still have capacity.
@@ -530,45 +473,31 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_propose_matches_fresh_and_feedback_invalidates() {
-        let mut plain = service(vec![2, 2, 2]);
-        let mut pipelined = service(vec![2, 2, 2]);
-        let user0 = arrival(3, 2);
-        let user1 = arrival(3, 1);
+    fn feedback_bumps_model_epoch_only_for_nonempty_arrangements() {
+        let mut svc = service(vec![2, 2, 2]);
+        let epoch = |svc: &ArrangementService| svc.policy().workspace().model_epoch();
 
-        // Round 0: prefetch right before propose — guaranteed hit.
-        pipelined.prefetch_scores(0, &user0).unwrap();
-        let a = pipelined.propose(&user0).unwrap();
-        assert_eq!(a, plain.propose(&user0).unwrap());
-        assert_eq!(pipelined.policy().workspace().prefetch_stats().hits, 1);
+        // Accepting feedback updates the model, so the epoch advances.
+        let a = svc.propose(&arrival(3, 2)).unwrap();
+        assert!(!a.is_empty());
+        let before = epoch(&svc);
+        svc.feedback(&vec![true; a.len()]).unwrap();
+        assert_eq!(epoch(&svc), before + 1);
 
-        // Prefetch round 1 while round 0's feedback is outstanding,
-        // then deliver accepting feedback: the model update bumps the
-        // epoch and the stash must be discarded, not reused.
-        let epoch = pipelined.model_epoch();
-        pipelined.prefetch_scores(1, &user1).unwrap();
-        let accepts = vec![true; a.len()];
-        assert_eq!(
-            pipelined.feedback(&accepts).unwrap(),
-            plain.feedback(&accepts).unwrap()
-        );
-        assert_eq!(pipelined.model_epoch(), epoch + 1);
-        let b = pipelined.propose(&user1).unwrap();
-        assert_eq!(b, plain.propose(&user1).unwrap());
-        assert_eq!(
-            pipelined.policy().workspace().prefetch_stats().recomputes,
-            1
-        );
+        // Rejects still update the estimator of every arranged event, so
+        // an all-reject round over a non-empty arrangement bumps it too.
+        let b = svc.propose(&arrival(3, 1)).unwrap();
+        assert!(!b.is_empty());
+        let before = epoch(&svc);
+        svc.feedback(&vec![false; b.len()]).unwrap();
+        assert_eq!(epoch(&svc), before + 1);
 
-        // All-reject feedback leaves the estimator untouched only per
-        // event actually arranged — rejects still update the model, so
-        // the epoch advances whenever the arrangement was non-empty.
-        let rejects = vec![false; b.len()];
-        let before = pipelined.model_epoch();
-        pipelined.feedback(&rejects).unwrap();
-        plain.feedback(&rejects).unwrap();
-        assert_eq!(pipelined.model_epoch(), before + 1);
-        assert_eq!(pipelined.remaining(), plain.remaining());
+        // An empty arrangement is a no-op for the learner: epoch kept.
+        let empty = svc.propose(&arrival(3, 0)).unwrap();
+        assert!(empty.is_empty());
+        let before = epoch(&svc);
+        svc.feedback(&[]).unwrap();
+        assert_eq!(epoch(&svc), before);
     }
 
     #[test]

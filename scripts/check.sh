@@ -89,16 +89,17 @@ cargo test -q --test shard_parity oracle
 echo "==> churned lifecycle kill matrix"
 cargo test -q --test shard_parity churned_kill_matrix_recovers_byte_identically
 
-# Pipelined-engine byte parity: the RoundPipeline at depth 1/2/4/8 must
-# land on the identical StateDigest (capacities, accounting, policy RNG)
-# as the sequential loop for every policy x oracle x churn, across shard
-# counts, through group commit, through the kill matrix, and through a
-# depth-4 server crash with >= 2 rounds in flight.
-echo "==> pipelined-vs-sequential parity + in-flight crash matrix"
+# Grant-ahead crash safety: a depth-4 server killed with >= 2 rounds in
+# flight (head proposal logged, future proposal buffered) must lose no
+# acked round and resume to the sequential run's accounting. Depth-4
+# vs depth-1 state parity for UCB and TS is in tests/serve_end_to_end.rs
+# (run by the workspace test step above).
+echo "==> grant-ahead in-flight crash recovery"
 cargo test -q --test pipeline_parity
 
-# Smoke the pipelined-engine bench (~1s): exercises the sim + serve
-# depth cells and the single-core warning path. The committed
+# Smoke the grant-ahead bench (~1s): exercises the serve depth 1 / 4
+# cells, the few-cores warning path, and each cell's closing STATS
+# assertion that no event ran out of capacity. The committed
 # BENCH_pipeline.json comes from a full-budget run, not this smoke.
 echo "==> pipeline_throughput smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench pipeline_throughput

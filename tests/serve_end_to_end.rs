@@ -4,7 +4,11 @@
 //!    with CRN feedback; the final accounting must be *identical* to an
 //!    in-process run of the same seed (the networked service is
 //!    observationally equivalent to the library).
-//! 2. **Crash resume** — a server process dies with a proposal
+//! 2. **Grant-ahead parity** — at `pipeline_depth = 4`, for a
+//!    deterministic and a sampling policy, the served run's recovered
+//!    state (capacities and full policy state) equals the sequential
+//!    in-process run.
+//! 3. **Crash resume** — a server process dies with a proposal
 //!    outstanding; a new server over the same directory recovers from
 //!    the WAL, hands the pending round to the first network claimant,
 //!    and the completed run still matches the uninterrupted reference.
@@ -21,11 +25,15 @@ const ROUNDS: u64 = 200;
 const CLIENTS: usize = 3;
 
 fn spec() -> WorkloadSpec {
+    spec_for("ucb")
+}
+
+fn spec_for(policy: &str) -> WorkloadSpec {
     WorkloadSpec {
         seed: 0xE2E_5EED,
         events: 10,
         dim: 3,
-        policy: "ucb".into(),
+        policy: policy.into(),
         users: 10_000,
         model_budget_mb: 0,
         ..WorkloadSpec::default()
@@ -39,8 +47,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn open_service(dir: &std::path::Path) -> DurableArrangementService {
-    let spec = spec();
+fn open_service(dir: &std::path::Path, spec: &WorkloadSpec) -> DurableArrangementService {
     DurableArrangementService::open(
         dir,
         spec.workload().instance,
@@ -51,12 +58,16 @@ fn open_service(dir: &std::path::Path) -> DurableArrangementService {
 }
 
 fn start_server(dir: &std::path::Path) -> ServerHandle {
-    start_server_depth(dir, 1)
+    start_server_depth(dir, &spec(), 1)
 }
 
-fn start_server_depth(dir: &std::path::Path, pipeline_depth: usize) -> ServerHandle {
+fn start_server_depth(
+    dir: &std::path::Path,
+    spec: &WorkloadSpec,
+    pipeline_depth: usize,
+) -> ServerHandle {
     Server::spawn(
-        open_service(dir),
+        open_service(dir, spec),
         "127.0.0.1:0",
         ServerConfig {
             stats_interval: None,
@@ -69,8 +80,7 @@ fn start_server_depth(dir: &std::path::Path, pipeline_depth: usize) -> ServerHan
 
 /// Drives rounds over the wire until the server's counter reaches
 /// `rounds`; returns how many this session completed.
-fn drive(addr: &str, rounds: u64, fed: &AtomicU64) {
-    let spec = spec();
+fn drive(spec: &WorkloadSpec, addr: &str, rounds: u64, fed: &AtomicU64) {
     let workload = spec.workload();
     let coins = spec.feedback_coins();
     let mut client = ServeClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
@@ -112,8 +122,7 @@ fn drive(addr: &str, rounds: u64, fed: &AtomicU64) {
 
 /// The uninterrupted in-process reference: same workload, same policy,
 /// same coins.
-fn reference(rounds: u64) -> (u64, u64, u64) {
-    let spec = spec();
+fn reference(spec: &WorkloadSpec, rounds: u64) -> ArrangementService {
     let workload = spec.workload();
     let coins = spec.feedback_coins();
     let mut svc = ArrangementService::new(workload.instance.clone(), spec.policy().unwrap());
@@ -130,6 +139,10 @@ fn reference(rounds: u64) -> (u64, u64, u64) {
             .collect();
         svc.feedback(&accepts).unwrap();
     }
+    svc
+}
+
+fn triple(svc: &ArrangementService) -> (u64, u64, u64) {
     (
         svc.rounds_completed(),
         svc.accounting().total_arranged(),
@@ -156,13 +169,13 @@ fn concurrent_clients_match_in_process_run() {
 
     std::thread::scope(|s| {
         for _ in 0..CLIENTS {
-            s.spawn(|| drive(&addr, ROUNDS, &fed));
+            s.spawn(|| drive(&spec(), &addr, ROUNDS, &fed));
         }
     });
     assert_eq!(fed.load(Ordering::Relaxed), ROUNDS, "every round fed once");
     assert_eq!(
         server_triple(&addr),
-        reference(ROUNDS),
+        triple(&reference(&spec(), ROUNDS)),
         "networked accounting must equal the in-process run"
     );
 
@@ -180,67 +193,75 @@ fn concurrent_clients_match_in_process_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Optimistic concurrent admission (`pipeline_depth > 1`): concurrent
-/// clients hold several consecutive rounds at once, yet the accounting
-/// still equals the strictly sequential in-process run, and the STATS
-/// response carries the pipeline observability fields the loadgen
-/// prints (`prefetch_hit`, `prefetch_recompute`, `conflict_replays`,
-/// and the `pipeline_depth` histogram).
+/// Grant-ahead admission (`pipeline_depth > 1`): concurrent clients
+/// hold several consecutive rounds at once, yet for a deterministic
+/// (`ucb`) and a sampling (`ts`) policy alike the served run equals the
+/// strictly sequential in-process run — the accounting over the wire,
+/// and, after reopening the directory, the capacities and the full
+/// policy state including its RNG position. That pins that grant-ahead
+/// never scores a round twice or forks a sampling policy's RNG. The
+/// STATS response carries the `pipeline_depth` histogram the loadgen
+/// prints.
 #[test]
 fn pipelined_admission_matches_sequential_and_reports_stats() {
-    let dir = temp_dir("pipelined");
-    let handle = start_server_depth(&dir, 4);
-    let addr = handle.local_addr().to_string();
-    let fed = AtomicU64::new(0);
+    for policy in ["ucb", "ts"] {
+        let spec = spec_for(policy);
+        let dir = temp_dir(&format!("pipelined-{policy}"));
+        let handle = start_server_depth(&dir, &spec, 4);
+        let addr = handle.local_addr().to_string();
+        let fed = AtomicU64::new(0);
 
-    std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
-            s.spawn(|| drive(&addr, ROUNDS, &fed));
-        }
-    });
-    assert_eq!(fed.load(Ordering::Relaxed), ROUNDS, "every round fed once");
-    assert_eq!(
-        server_triple(&addr),
-        reference(ROUNDS),
-        "depth-4 admission must equal the sequential run"
-    );
-
-    let mut client = ServeClient::connect(addr.clone(), ClientConfig::default()).unwrap();
-    let stats = client.stats().unwrap();
-    for name in ["prefetch_hit", "prefetch_recompute", "conflict_replays"] {
-        assert!(
-            stats.counter(name).is_some(),
-            "STATS must export the {name} counter"
+        std::thread::scope(|s| {
+            for _ in 0..CLIENTS {
+                s.spawn(|| drive(&spec, &addr, ROUNDS, &fed));
+            }
+        });
+        assert_eq!(fed.load(Ordering::Relaxed), ROUNDS, "every round fed once");
+        let expected = reference(&spec, ROUNDS);
+        assert_eq!(
+            server_triple(&addr),
+            triple(&expected),
+            "{policy}: depth-4 admission must equal the sequential run"
         );
-    }
-    let depth_hist = stats
-        .histograms
-        .iter()
-        .find(|h| h.name == "pipeline_depth")
-        .expect("STATS must export the pipeline_depth histogram");
-    assert!(depth_hist.count > 0, "every grant records its depth");
-    assert!(
-        depth_hist.max_us > 1,
-        "concurrent clients must actually overlap rounds (observed depth > 1)"
-    );
-    let text = stats.render();
-    for needle in [
-        "prefetch_hit=",
-        "prefetch_recompute=",
-        "conflict_replays=",
-        "hist pipeline_depth",
-    ] {
-        assert!(
-            text.contains(needle),
-            "loadgen STATS output missing {needle}"
-        );
-    }
 
-    handle.initiate_shutdown();
-    let report = handle.join();
-    assert!(report.close.error.is_none());
-    assert_eq!(report.close.rounds_completed, ROUNDS);
-    let _ = std::fs::remove_dir_all(&dir);
+        let mut client = ServeClient::connect(addr.clone(), ClientConfig::default()).unwrap();
+        let stats = client.stats().unwrap();
+        let depth_hist = stats
+            .histograms
+            .iter()
+            .find(|h| h.name == "pipeline_depth")
+            .expect("STATS must export the pipeline_depth histogram");
+        assert!(depth_hist.count > 0, "every grant records its depth");
+        assert!(
+            depth_hist.max_us > 1,
+            "{policy}: concurrent clients must actually overlap rounds (observed depth > 1)"
+        );
+        assert!(
+            stats.render().contains("hist pipeline_depth"),
+            "loadgen STATS output missing the pipeline_depth histogram"
+        );
+
+        handle.initiate_shutdown();
+        let report = handle.join();
+        assert!(report.close.error.is_none());
+        assert_eq!(report.close.rounds_completed, ROUNDS);
+
+        let reopened = open_service(&dir, &spec);
+        assert_eq!(reopened.rounds_completed(), ROUNDS);
+        assert!(!reopened.has_pending());
+        assert_eq!(
+            reopened.service().remaining(),
+            expected.remaining(),
+            "{policy}: capacities diverged from the sequential run"
+        );
+        assert_eq!(
+            reopened.service().policy().save_state(),
+            expected.policy().save_state(),
+            "{policy}: policy state diverged from the sequential run"
+        );
+        reopened.close().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -254,7 +275,7 @@ fn crash_with_pending_round_resumes_over_the_wire() {
         let spec = spec();
         let workload = spec.workload();
         let coins = spec.feedback_coins();
-        let mut svc = open_service(&dir);
+        let mut svc = open_service(&dir, &spec);
         for t in 0..crash_at {
             let arrival = workload.arrivals.arrival(t);
             let arrangement = svc.propose(&arrival).unwrap();
@@ -289,14 +310,14 @@ fn crash_with_pending_round_resumes_over_the_wire() {
     let fed = AtomicU64::new(0);
     std::thread::scope(|s| {
         for _ in 0..CLIENTS {
-            s.spawn(|| drive(&addr, ROUNDS, &fed));
+            s.spawn(|| drive(&spec(), &addr, ROUNDS, &fed));
         }
     });
     // The pending round plus everything after it, each exactly once.
     assert_eq!(fed.load(Ordering::Relaxed), ROUNDS - crash_at);
     assert_eq!(
         server_triple(&addr),
-        reference(ROUNDS),
+        triple(&reference(&spec(), ROUNDS)),
         "crash + network resume must equal the uninterrupted run"
     );
 
