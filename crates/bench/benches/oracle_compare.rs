@@ -13,18 +13,16 @@
 //! the arranged events — the MaxAttendance objective, so the greedy row
 //! is the baseline the tabu rows must not undercut).
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
-//! file, the table is also written there as JSON — that is how the
-//! committed `BENCH_oracle.json` is produced:
+//! Output: one line per cell on stdout, and the table through
+//! [`BenchReport`] — that is how the committed `BENCH_oracle.json` is
+//! produced:
 //!
 //! ```text
 //! FASEA_BENCH_JSON=BENCH_oracle.json cargo bench --bench oracle_compare
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-measurement budget (default 300 ms)
-//! as in the other benches.
 
 use fasea_bandit::{OracleOptions, TabuFitness};
+use fasea_bench::{budget, BenchReport, Field};
 use fasea_core::Arrangement;
 use fasea_datagen::synthetic::generate_conflicts;
 use fasea_stats::rng_from_seed;
@@ -35,14 +33,6 @@ fn scores_for(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| ((i as f64 * 0.7311).sin() + 1.0) / 2.0)
         .collect()
-}
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
 }
 
 /// Mean ns per call of `f`, measured in ~1 ms batches until the budget
@@ -112,7 +102,6 @@ fn bench_cell(opts: &OracleOptions, num_events: usize, budget: Duration) -> Cell
 
 fn main() {
     let budget = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let variants: &[(&'static str, OracleOptions)] = &[
         ("greedy", OracleOptions::greedy()),
         (
@@ -125,7 +114,7 @@ fn main() {
         ),
     ];
 
-    let mut cells = Vec::new();
+    let mut report = BenchReport::new("oracle_compare", "rounds_per_sec");
     for &n in &[500usize, 5000] {
         for (label, opts) in variants {
             let mut cell = bench_cell(opts, n, budget);
@@ -134,27 +123,14 @@ fn main() {
                 "oracle_compare/{}/{n:<8} {:>12.0} rounds/s   attendance: {:>8.3}   arranged: {}",
                 cell.oracle, cell.rounds_per_sec, cell.attendance, cell.arranged,
             );
-            cells.push(cell);
+            report.cell(vec![
+                ("oracle", cell.oracle.into()),
+                ("num_events", cell.num_events.into()),
+                ("rounds_per_sec", Field::fixed(cell.rounds_per_sec, 1)),
+                ("attendance", Field::fixed(cell.attendance, 3)),
+                ("arranged", cell.arranged.into()),
+            ]);
         }
     }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"oracle_compare\",\n  \"units\": \"rounds_per_sec\",\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"oracle\": \"{}\", \"num_events\": {}, \"rounds_per_sec\": {:.1}, \"attendance\": {:.3}, \"arranged\": {}}}{}\n",
-                c.oracle,
-                c.num_events,
-                c.rounds_per_sec,
-                c.attendance,
-                c.arranged,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    report.write_if_requested();
 }

@@ -11,23 +11,20 @@
 //! and each cell ends by asserting over STATS that no event ran dry:
 //! a drained instance would time mostly empty rounds.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
-//! file, the measured table is also written there as JSON — that is how
-//! the committed `BENCH_pipeline.json` is produced:
+//! Output: one line per cell on stdout, and the table through
+//! [`BenchReport`] — that is how the committed `BENCH_pipeline.json` is
+//! produced:
 //!
 //! ```text
 //! FASEA_BENCH_MS=2000 FASEA_BENCH_JSON=BENCH_pipeline.json \
 //!     cargo bench --bench pipeline_throughput
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-cell measurement window (default
-//! 300 ms) so CI can smoke-run the file without touching committed
-//! numbers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use fasea_bandit::LinUcb;
+use fasea_bench::{budget, BenchReport, Field};
 use fasea_core::EventId;
 use fasea_datagen::{CapacityModel, SyntheticConfig, SyntheticWorkload};
 use fasea_serve::{ClientConfig, ServeClient, Server, ServerConfig};
@@ -51,14 +48,6 @@ fn workload() -> SyntheticWorkload {
         },
         ..SyntheticConfig::default()
     })
-}
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
 }
 
 fn durable_opts() -> DurableOptions {
@@ -163,9 +152,14 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
                     },
                 )
                 .unwrap();
-                while Instant::now() < deadline {
+                // At least one round per client, so a smoke-sized
+                // window still drives every cell.
+                loop {
                     drive_one_round(&mut client, &wl, &coins);
                     completed.fetch_add(1, Ordering::Relaxed);
+                    if Instant::now() >= deadline {
+                        break;
+                    }
                 }
             });
         }
@@ -198,7 +192,9 @@ fn run_serve_cell(depth: usize, window: Duration) -> Cell {
 
 fn main() {
     let window = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut report = BenchReport::new("pipeline_throughput", "rounds_per_sec");
+    report.meta("durability", "fsync_before_ack");
+    let host_cores = report.host_cores();
     if host_cores < CLIENTS {
         println!(
             "WARNING: host has {host_cores} core(s) for {CLIENTS} loopback clients plus the \
@@ -207,54 +203,40 @@ fn main() {
              is single-threaded); quote its ratio together with host_cores."
         );
     }
+    if host_cores == 1 {
+        // `check-bench` rejects >1x speedups on a single-core host
+        // unless the table says where they come from.
+        report.meta(
+            "caveat",
+            "single-core host: clients and server share one core; depth>1 gains reflect \
+             overlap with network and fsync waits only",
+        );
+    }
 
-    let mut cells = Vec::new();
+    let mut base = None;
     for depth in [1usize, 4] {
         let cell = run_serve_cell(depth, window);
         println!(
             "pipeline_throughput/serve/depth={}/clients={}   {:>8} rounds   {:>10.1} rounds/sec",
             cell.depth, cell.clients, cell.rounds, cell.rounds_per_sec,
         );
-        cells.push(cell);
-    }
-
-    let base = cells[0].rounds_per_sec;
-    for c in &cells[1..] {
-        println!(
-            "serve depth {} vs depth 1: {:.2}x",
-            c.depth,
-            c.rounds_per_sec / base
-        );
-    }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        // `check-bench` rejects >1x speedups on a single-core host
-        // unless the table says where they come from.
-        let caveat = if host_cores == 1 {
-            "\n  \"caveat\": \"single-core host: clients and server share one core; depth>1 gains reflect overlap with network and fsync waits only\","
+        let speedup = base.map(|base| cell.rounds_per_sec / base);
+        if let Some(speedup) = speedup {
+            println!("serve depth {} vs depth 1: {speedup:.2}x", cell.depth);
         } else {
-            ""
-        };
-        let mut json = format!(
-            "{{\n  \"bench\": \"pipeline_throughput\",\n  \"units\": \"rounds_per_sec\",\n  \"durability\": \"fsync_before_ack\",\n  \"host_cores\": {host_cores},{caveat}\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let speedup = if c.depth > 1 {
-                format!("{:.2}", c.rounds_per_sec / base)
-            } else {
-                "null".into()
-            };
-            json.push_str(&format!(
-                "    {{\"layer\": \"serve\", \"pipeline_depth\": {}, \"clients\": {}, \"rounds\": {}, \"rounds_per_sec\": {:.1}, \"speedup_vs_depth1\": {speedup}}}{}\n",
-                c.depth,
-                c.clients,
-                c.rounds,
-                c.rounds_per_sec,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
+            base = Some(cell.rounds_per_sec);
         }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
+        report.cell(vec![
+            ("layer", "serve".into()),
+            ("pipeline_depth", cell.depth.into()),
+            ("clients", cell.clients.into()),
+            ("rounds", cell.rounds.into()),
+            ("rounds_per_sec", Field::fixed(cell.rounds_per_sec, 1)),
+            (
+                "speedup_vs_depth1",
+                speedup.map(|s| Field::fixed(s, 2)).into(),
+            ),
+        ]);
     }
+    report.write_if_requested();
 }

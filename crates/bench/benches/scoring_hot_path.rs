@@ -28,23 +28,20 @@
 //! The JSON records `host_cores` next to `threads`: pooled ratios are a
 //! property of the machine they were measured on.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names a
-//! file, the measured table is also written there as JSON — that is how
-//! the committed `BENCH_scoring.json` is produced:
+//! Output: one line per cell on stdout, and the table through
+//! [`BenchReport`] — that is how the committed `BENCH_scoring.json` is
+//! produced:
 //!
 //! ```text
 //! FASEA_BENCH_MS=1000 FASEA_BENCH_JSON=BENCH_scoring.json \
 //!     cargo bench --bench scoring_hot_path
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-measurement budget as in the other
-//! benches (default 300 ms), so CI can smoke-run the whole file in a
-//! few seconds without touching the committed numbers.
 
 use fasea_bandit::{
     GreedyOracle, LinUcb, Oracle, OracleWorkspace, Policy, RidgeEstimator, ScorePool,
     SelectionView, ThompsonSampling,
 };
+use fasea_bench::{budget, BenchReport, Field};
 use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -71,7 +68,7 @@ const GRID: &[(usize, usize)] = &[
 /// Warm-up rounds before timing: enough for non-trivial `Y⁻¹` and `θ̂`.
 const WARM_ROUNDS: u64 = 32;
 
-/// The pre-redesign scalar UCB scoring round, kept verbatim: per-round
+/// The pre-redesign scalar UCB scoring round and its allocations: per-round
 /// `θ̂` clone, per-event `Vector` allocation inside `confidence_width`,
 /// and a cold greedy-oracle call (fresh workspace and arrangement every
 /// round, the legacy `oracle_greedy` allocation profile).
@@ -85,10 +82,10 @@ impl LegacyUcb {
     fn select(&mut self, view: &SelectionView<'_>) -> Arrangement {
         let n = view.num_events();
         self.scores.resize(n, 0.0);
-        let theta = self.estimator.theta_hat().clone();
+        black_box(self.estimator.theta_hat().clone());
         for v in 0..n {
             let x = view.contexts.context(EventId(v));
-            let point = fasea_linalg::dot_slices(x, theta.as_slice());
+            let point = self.estimator.point_estimate(x);
             let width = self.estimator.confidence_width(x);
             self.scores[v] = point + self.alpha * width;
         }
@@ -203,14 +200,6 @@ struct Cell {
     serial_ns: f64,
     pooled_ns: f64,
     auto_ns: f64,
-}
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
 }
 
 /// Median ns per call of each of `fs`, timed in ~1 ms batches taken
@@ -332,19 +321,19 @@ fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>)
 
 fn main() {
     let budget = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = host_cores.max(2);
+    let mut report = BenchReport::new("scoring_hot_path", "ns_per_round");
+    let threads = report.host_cores().max(2);
+    report.meta("threads", threads);
     let pool = Arc::new(ScorePool::new(threads));
     // Keep worker-thread startup out of the first cell's timing.
     pool.wait_ready();
-    if host_cores == 1 {
+    if report.host_cores() == 1 {
         println!(
             "warning: single-core host — pooled < serial measures ScorePool dispatch \
              overhead, not a scaling regression"
         );
     }
 
-    let mut cells = Vec::new();
     for &(num_events, dim) in GRID {
         let fx = Fixture::new(num_events, dim);
         for kind in [Kind::Ucb, Kind::Ts] {
@@ -363,35 +352,32 @@ fn main() {
                 c.auto_ns,
                 c.serial_ns / c.auto_ns,
             );
-            cells.push(c);
+            report.cell(vec![
+                ("policy", c.policy.into()),
+                ("num_events", c.num_events.into()),
+                ("dim", c.dim.into()),
+                ("work", (c.num_events * c.dim).into()),
+                (
+                    "legacy_ns",
+                    c.legacy_ns.map(|ns| Field::fixed(ns, 1)).into(),
+                ),
+                ("serial_ns", Field::fixed(c.serial_ns, 1)),
+                ("pooled_ns", Field::fixed(c.pooled_ns, 1)),
+                ("auto_ns", Field::fixed(c.auto_ns, 1)),
+                (
+                    "speedup",
+                    c.legacy_ns
+                        .map(|ns| Field::fixed(ns / c.serial_ns, 2))
+                        .into(),
+                ),
+                (
+                    "parallel_speedup",
+                    Field::fixed(c.serial_ns / c.pooled_ns, 2),
+                ),
+                ("auto_speedup", Field::fixed(c.serial_ns / c.auto_ns, 2)),
+            ]);
         }
     }
 
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"scoring_hot_path\",\n  \"units\": \"ns_per_round\",\n  \"threads\": {threads},\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let (legacy_ns, legacy_speedup) = match c.legacy_ns {
-                Some(ns) => (format!("{ns:.1}"), format!("{:.2}", ns / c.serial_ns)),
-                None => ("null".into(), "null".into()),
-            };
-            json.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"num_events\": {}, \"dim\": {}, \"work\": {}, \"legacy_ns\": {legacy_ns}, \"serial_ns\": {:.1}, \"pooled_ns\": {:.1}, \"auto_ns\": {:.1}, \"speedup\": {legacy_speedup}, \"parallel_speedup\": {:.2}, \"auto_speedup\": {:.2}}}{}\n",
-                c.policy,
-                c.num_events,
-                c.dim,
-                c.num_events * c.dim,
-                c.serial_ns,
-                c.pooled_ns,
-                c.auto_ns,
-                c.serial_ns / c.pooled_ns,
-                c.serial_ns / c.auto_ns,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    report.write_if_requested();
 }

@@ -13,22 +13,19 @@
 //! with fsync on, per-shard logs would additionally spread the fsync
 //! load across files.
 //!
-//! Output: one line per cell on stdout. When `FASEA_BENCH_JSON` names
-//! a file, the measured table is also written there as JSON — that is
-//! how the committed `BENCH_shard.json` is produced:
+//! Output: one line per cell on stdout, and the table through
+//! [`BenchReport`] — that is how the committed `BENCH_shard.json` is
+//! produced:
 //!
 //! ```text
 //! FASEA_BENCH_MS=2000 FASEA_BENCH_JSON=BENCH_shard.json \
 //!     cargo bench --bench shard_scaling
 //! ```
-//!
-//! `FASEA_BENCH_MS` bounds the per-cell measurement window (default
-//! 300 ms) so CI can smoke-run the file without touching committed
-//! numbers.
 
 use std::time::{Duration, Instant};
 
 use fasea_bandit::LinUcb;
+use fasea_bench::{budget, BenchReport, Field};
 use fasea_core::EventId;
 use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
 use fasea_shard::ShardedArrangementService;
@@ -47,14 +44,6 @@ fn workload() -> SyntheticWorkload {
         seed: SEED,
         ..SyntheticConfig::default()
     })
-}
-
-fn budget() -> Duration {
-    let ms = std::env::var("FASEA_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms.max(10))
 }
 
 fn opts() -> DurableOptions {
@@ -148,8 +137,9 @@ fn run_cell(mode: &'static str, shards: usize, window: Duration) -> Cell {
 
 fn main() {
     let window = budget();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host_cores == 1 {
+    let mut report = BenchReport::new("shard_scaling", "rounds_per_sec");
+    report.meta("fsync", "never");
+    if report.host_cores() == 1 {
         println!(
             "warning: single-core host — the coordinator and every shard actor \
              share one core, so the fan-out rounds are pure overhead and shard \
@@ -163,50 +153,29 @@ fn main() {
         ("sharded", 2),
         ("sharded", 4),
     ];
-    let mut cells = Vec::new();
+    let mut baseline = None;
     for &(mode, shards) in grid {
         let cell = run_cell(mode, shards, window);
         println!(
             "shard_scaling/{}/shards={}   {:>8} rounds   {:>10.1} rounds/sec",
             cell.mode, cell.shards, cell.rounds, cell.rounds_per_sec,
         );
-        cells.push(cell);
-    }
-
-    let baseline = cells
-        .iter()
-        .find(|c| c.mode == "single_actor")
-        .map(|c| c.rounds_per_sec);
-    if let Some(base) = baseline {
-        for c in cells.iter().filter(|c| c.mode == "sharded") {
-            println!(
-                "sharded({}) vs single_actor: {:.2}x",
-                c.shards,
-                c.rounds_per_sec / base,
-            );
+        let relative = baseline.map(|base| cell.rounds_per_sec / base);
+        if let Some(relative) = relative {
+            println!("sharded({}) vs single_actor: {relative:.2}x", cell.shards);
+        } else {
+            baseline = Some(cell.rounds_per_sec);
         }
+        report.cell(vec![
+            ("mode", cell.mode.into()),
+            ("shards", cell.shards.into()),
+            ("rounds", cell.rounds.into()),
+            ("rounds_per_sec", Field::fixed(cell.rounds_per_sec, 1)),
+            (
+                "relative_to_single_actor",
+                relative.map(|r| Field::fixed(r, 2)).into(),
+            ),
+        ]);
     }
-
-    if let Ok(path) = std::env::var("FASEA_BENCH_JSON") {
-        let mut json = format!(
-            "{{\n  \"bench\": \"shard_scaling\",\n  \"units\": \"rounds_per_sec\",\n  \"fsync\": \"never\",\n  \"host_cores\": {host_cores},\n  \"cells\": [\n",
-        );
-        for (i, c) in cells.iter().enumerate() {
-            let relative = match baseline {
-                Some(base) if c.mode == "sharded" => format!("{:.2}", c.rounds_per_sec / base),
-                _ => "null".into(),
-            };
-            json.push_str(&format!(
-                "    {{\"mode\": \"{}\", \"shards\": {}, \"rounds\": {}, \"rounds_per_sec\": {:.1}, \"relative_to_single_actor\": {relative}}}{}\n",
-                c.mode,
-                c.shards,
-                c.rounds,
-                c.rounds_per_sec,
-                if i + 1 == cells.len() { "" } else { "," },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write FASEA_BENCH_JSON");
-        println!("wrote {path}");
-    }
+    report.write_if_requested();
 }

@@ -46,20 +46,6 @@ cargo test -q --test determinism_golden parallel_scoring_matches_serial_golden
 echo "==> models spill-determinism golden tests"
 cargo test -q --test models_spill_determinism
 
-# Smoke the million-user residency bench at a small population so the
-# seed/steady phases, tier accounting asserts, and spill I/O all run in
-# ~1s. The committed BENCH_models.json comes from the full
-# FASEA_BENCH_USERS=1000000 run, not this smoke.
-echo "==> models_residency smoke (FASEA_BENCH_USERS=20000, FASEA_BENCH_MS=25)"
-FASEA_BENCH_USERS=20000 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench models_residency
-
-# Cohort-mode residency smoke: the same bench with a small cohort count
-# exercises the three-level prior chain (fold path, cohort rehydrate,
-# sketch demote/promote) plus its mode-aware asserts in ~1s.
-echo "==> models_residency cohort smoke (FASEA_BENCH_COHORTS=16)"
-FASEA_BENCH_USERS=20000 FASEA_BENCH_MS=25 FASEA_BENCH_COHORTS=16 \
-  cargo bench -q -p fasea-bench --bench models_residency
-
 # Cohort + sketched multi-user CLI smoke: a budgeted cohort run must
 # verify bit-equal to unbounded, and a sketched run must pass the
 # regret-parity gate against its exact control.
@@ -109,6 +95,12 @@ FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench pipeline_throughput
 echo "==> oracle_compare smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench oracle_compare
 
+# Smoke the sharding bench (~1s): the single actor and 1/2/4 shards
+# with fsync off. The committed BENCH_shard.json comes from a
+# full-budget run, not this smoke.
+echo "==> shard_scaling smoke (FASEA_BENCH_MS=25)"
+FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench shard_scaling
+
 # End-to-end smoke of the benchmark package (its own workspace, so the
 # workspace test run above skips it): all four workloads at quick size,
 # untraced and traced, with served replay parity, so wire framing and the
@@ -117,8 +109,9 @@ echo "==> fasea-benchmark smoke (four workloads, quick size)"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
 # Every committed bench-result table must still parse and keep the
-# shared schema (object with "bench"/"units"/non-empty "cells" of flat
-# scalar cells) so downstream tooling never reads a drifted artefact.
+# shared schema (object with "bench"/"units"/"host_cores"/non-empty
+# "cells" of flat scalar cells with one key set) so downstream tooling
+# never reads a drifted artefact.
 echo "==> check-bench (committed BENCH_*.json schema)"
 cargo run -q -p fasea-experiments --bin fasea-exp -- check-bench BENCH_*.json
 

@@ -15,7 +15,7 @@
 use fasea::bandit::Policy;
 use fasea::datagen::{MultiUserConfig, MultiUserWorkload, SyntheticConfig};
 use fasea::models::{
-    EstimatorStore, PersonalizedTs, PersonalizedUcb, StoreConfig, StoreStats, UserSchedule,
+    EstimatorStore, PersonalizedTs, PersonalizedUcb, StoreConfig, StoreStats, UserId, UserSchedule,
 };
 use fasea::sim::run_multi_user_stored;
 use fasea::stats::crn::mix64;
@@ -192,4 +192,111 @@ fn budgeted_state_restores_into_an_unbounded_store_and_continues_in_lockstep() {
         .expect("restore across budget configurations");
     assert_eq!(blob, resumed.save_state(), "restore is not lossless");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Residency accounting at population scale, in every tiering mode: an
+/// [`EstimatorStore`] of 20k users at d=8 runs a seed phase (one
+/// observation per user) and then a fixed number of select + observe
+/// rounds on the multi-user hash schedule, enforcing the budget after
+/// every observe as the runner does. The budgets hold a few thousand
+/// exact models, so the bounded modes demote, spill and fault
+/// throughout.
+#[test]
+fn residency_invariants_hold_in_every_tiering_mode() {
+    const USERS: usize = 20_000;
+    const D: usize = 8;
+    const STEADY_ROUNDS: u64 = 40_000;
+    const HOT_BUDGET: usize = 4 << 20;
+    const WARM_BUDGET: usize = 1 << 20;
+    const COHORTS: usize = 16;
+    /// Observations a cold user folds into its cohort prior before
+    /// materializing: low enough that most users materialize within
+    /// the steady rounds, so the cohort modes tier private models too.
+    const COHORT_FOLDS: u64 = 1;
+
+    /// A cheap deterministic context for step `t`.
+    fn context(t: u64, x: &mut [f64]) {
+        let mut h = mix64(t ^ 0xC0DE);
+        for v in x.iter_mut() {
+            h = mix64(h);
+            *v = (h >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        }
+    }
+
+    // (bounded, cohorts, sketched)
+    let modes = [
+        (false, 0, false),
+        (true, 0, false),
+        (true, COHORTS, false),
+        (true, COHORTS, true),
+    ];
+    for (bounded, cohorts, sketched) in modes {
+        let tag = format!("bounded={bounded} cohorts={cohorts} sketched={sketched}");
+        let dir = temp_dir(&format!("residency-{bounded}-{cohorts}-{sketched}"));
+        let mut config = if bounded {
+            StoreConfig::bounded(D, 1.0, HOT_BUDGET, WARM_BUDGET, &dir)
+        } else {
+            StoreConfig::unbounded(D, 1.0)
+        };
+        if cohorts > 0 {
+            config = config.with_cohorts(cohorts, mix64(0xC040_0947), COHORT_FOLDS);
+        }
+        if sketched {
+            config = config.with_sketched(4);
+        }
+        let mut store = open(config);
+        let mut x = [0.0f64; D];
+
+        // Seed: a COW materialization per user in flat mode, a cohort
+        // fold in cohort mode.
+        for u in 0..USERS as u64 {
+            context(u, &mut x);
+            let h = store.resolve(UserId(u));
+            store.observe(h, &x, (u % 2) as f64, u).unwrap();
+            store.enforce_budget(u).unwrap();
+        }
+        // Steady: one select + one observe per round.
+        let schedule = UserSchedule::new(mix64(0x5EED ^ USERS as u64), USERS);
+        for t in USERS as u64..USERS as u64 + STEADY_ROUNDS {
+            context(t, &mut x);
+            let h = store.resolve(UserId(schedule.user_at(t)));
+            let est = store.estimator_for_select(h, t).unwrap();
+            assert!(est.point_estimate(&x).is_finite(), "{tag}");
+            store.observe(h, &x, (t % 2) as f64, t).unwrap();
+            store.enforce_budget(t).unwrap();
+        }
+
+        let stats = store.stats();
+        assert_eq!(stats.users, USERS, "{tag}: every user must be interned");
+        if cohorts == 0 {
+            assert_eq!(stats.cold, 0, "{tag}: the seed phase leaves no cold user");
+        } else {
+            // One seed observation is below the fold threshold, so the
+            // cohort tier must have carried traffic.
+            assert!(stats.cohorts_materialized > 0, "{tag}: no cohort built");
+            assert!(stats.cohort_folds > 0, "{tag}: no observation folded");
+            assert!(stats.cohort_hits > 0, "{tag}: no select served by a cohort");
+        }
+        if bounded {
+            assert!(
+                stats.hot_bytes <= HOT_BUDGET && stats.warm_bytes <= WARM_BUDGET,
+                "{tag}: over budget: hot {}B/{HOT_BUDGET}B warm {}B/{WARM_BUDGET}B",
+                stats.hot_bytes,
+                stats.warm_bytes,
+            );
+            assert!(stats.demotions > 0, "{tag}: the budget never bound");
+            assert!(stats.faults > 0, "{tag}: nothing faulted back");
+        } else {
+            assert_eq!(stats.demotions, 0, "{tag}");
+        }
+        if sketched {
+            assert!(
+                stats.sketch_promotions > 0,
+                "{tag}: faulted {} times without a sketch promotion",
+                stats.faults
+            );
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
