@@ -60,6 +60,7 @@ mod opt;
 mod oracle;
 mod oracle_api;
 mod policy;
+mod prune;
 mod random;
 mod score_pool;
 mod snapshot;
@@ -84,4 +85,4 @@ pub use snapshot::{restore_estimator, save_estimator, SnapshotError, MAGIC as SN
 pub use static_score::StaticScorePolicy;
 pub use ts::ThompsonSampling;
 pub use ucb::LinUcb;
-pub use workspace::{Arranger, ModelTierStats, PrefetchStats, ScoreWorkspace};
+pub use workspace::{Arranger, ModelTierStats, PrefetchStats, ScoreStats, ScoreWorkspace};

@@ -44,6 +44,7 @@ pub(crate) fn greedy(
         &mut order,
         &mut mask,
         &mut arrangement,
+        usize::MAX,
     );
     arrangement
 }
@@ -61,6 +62,14 @@ pub(crate) fn greedy(
 /// # Panics
 /// Panics if `scores.len()`, the conflict graph and `remaining` disagree
 /// on `|V|`.
+///
+/// `max_k` caps how far the ranked prefix may grow: once a prefix of
+/// `max_k` events ran dry short of `n`, the call stops and returns
+/// `false` (with `out` holding that prefix's partial arrangement)
+/// instead of ranking further. Pass `usize::MAX` for Algorithm 2 in
+/// full, which always returns `true`. A pruned UCB round passes the
+/// initial prefix [`initial_prefix`]: its exact scores certify only
+/// that prefix (see `crate::prune`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_into(
     scores: &[f64],
@@ -70,13 +79,14 @@ pub(crate) fn greedy_into(
     order: &mut Vec<u32>,
     mask: &mut Vec<u64>,
     out: &mut Arrangement,
-) {
+    max_k: usize,
+) -> bool {
     let n = scores.len();
     assert_eq!(n, conflicts.num_events(), "oracle_greedy: |V| mismatch");
     assert_eq!(n, remaining.len(), "oracle_greedy: capacity slice mismatch");
     out.clear();
     if user_capacity == 0 || n == 0 {
-        return;
+        return true;
     }
     // Rank events by score, descending; ties by index ascending. The
     // index tiebreak makes this a total order with every pair
@@ -97,10 +107,7 @@ pub(crate) fn greedy_into(
     // pairwise fallback the sort comparator uses — but, as with the
     // old full sort, the overall ranking under NaN is unspecified.
     // Arrangements from NaN scores are not meaningful either way.)
-    //
-    // Enough slack that one pass suffices unless conflicts are dense
-    // around the top of the ranking.
-    let mut k = (user_capacity as usize).saturating_mul(4).max(32).min(n);
+    let mut k = initial_prefix(n, user_capacity);
     loop {
         if k < n && k <= FULL_SORT_CUTOFF {
             // Bounded-insertion top-k: `order` holds the best `k` seen
@@ -123,7 +130,10 @@ pub(crate) fn greedy_into(
 
         greedy_scan(order, conflicts, remaining, user_capacity, mask, out);
         if out.len() >= user_capacity as usize || k == n {
-            return;
+            return true;
+        }
+        if k >= max_k {
+            return false;
         }
         // The prefix ran dry before the arrangement filled: rank a
         // larger prefix and redo the (cheap) greedy scan from scratch.
@@ -131,9 +141,16 @@ pub(crate) fn greedy_into(
     }
 }
 
+/// The ranked prefix Oracle-Greedy starts from: `max(32, 4·c_u)`
+/// events (all of them for small `|V|`), enough slack that one pass
+/// suffices unless conflicts are dense around the top of the ranking.
+pub(crate) fn initial_prefix(n: usize, user_capacity: u32) -> usize {
+    (user_capacity as usize).saturating_mul(4).max(32).min(n)
+}
+
 /// Past this prefix size the O(k) insertion shifts stop paying for
 /// themselves and one full sort is cheaper.
-const FULL_SORT_CUTOFF: usize = 2048;
+pub(crate) const FULL_SORT_CUTOFF: usize = 2048;
 
 /// The oracle's total visiting order: score descending, index ascending
 /// on ties (or on NaN-incomparable pairs — see the comment in
@@ -267,7 +284,7 @@ pub(crate) fn greedy_dist_into(
     if user_capacity == 0 || n == 0 {
         return;
     }
-    let mut k = (user_capacity as usize).saturating_mul(4).max(32).min(n);
+    let mut k = initial_prefix(n, user_capacity);
     loop {
         if k < n && k <= FULL_SORT_CUTOFF {
             order.clear();
@@ -589,7 +606,16 @@ mod tests {
         let mut order = Vec::new();
         let mut mask = Vec::new();
         let mut out = Arrangement::empty();
-        greedy_into(&scores, &g, &remaining, cu, &mut order, &mut mask, &mut out);
+        greedy_into(
+            &scores,
+            &g,
+            &remaining,
+            cu,
+            &mut order,
+            &mut mask,
+            &mut out,
+            usize::MAX,
+        );
         let expected: Vec<usize> = (150..155).collect();
         assert_eq!(ids(&out), expected);
         assert_eq!(out, greedy(&scores, &g, &remaining, cu));
@@ -700,7 +726,16 @@ mod tests {
         let mut order = Vec::new();
         let mut mask = Vec::new();
         let mut out = Arrangement::empty();
-        greedy_into(&scores, &g, &remaining, cu, &mut order, &mut mask, &mut out);
+        greedy_into(
+            &scores,
+            &g,
+            &remaining,
+            cu,
+            &mut order,
+            &mut mask,
+            &mut out,
+            usize::MAX,
+        );
         // Event 0 first, then the best non-conflicting ones: 61, 62, 63.
         assert_eq!(ids(&out), vec![0, 61, 62, 63]);
         assert_eq!(out, greedy(&scores, &g, &remaining, cu));

@@ -100,6 +100,16 @@ pub trait Oracle: Send + Sync + std::fmt::Debug {
     /// CLI flags, bench tables and the durable-log fingerprint.
     fn name(&self) -> &'static str;
 
+    /// `true` only for Algorithm 2 itself ([`GreedyOracle`]): an oracle
+    /// that reads scores solely through the greedy visiting order, so a
+    /// pruned UCB round whose exact scores cover the ranked prefix can
+    /// be arranged without scoring the rest (see
+    /// [`crate::ScoreWorkspace::arrange_into`]). Every other oracle
+    /// receives a complete score vector. Defaults to `false`.
+    fn is_greedy(&self) -> bool {
+        false
+    }
+
     /// Fills `out` with the arrangement for one round.
     ///
     /// `ws` is reusable scratch owned by the caller; its contents on
@@ -163,6 +173,10 @@ impl Oracle for GreedyOracle {
         "greedy"
     }
 
+    fn is_greedy(&self) -> bool {
+        true
+    }
+
     fn arrange_into(
         &self,
         scores: &[f64],
@@ -180,6 +194,7 @@ impl Oracle for GreedyOracle {
             &mut ws.order,
             &mut ws.mask,
             out,
+            usize::MAX,
         );
     }
 

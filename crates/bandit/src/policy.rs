@@ -169,8 +169,13 @@ pub trait Policy: Send {
         *self.workspace_mut() = ws;
     }
 
-    /// Consumes the user's feedback on the arranged events. `contexts`
-    /// is the same block that was shown to `select` at time `t`.
+    /// Consumes the user's feedback on the arranged events.
+    ///
+    /// `contexts` has the round's full `|V| × d` shape, and the rows of
+    /// the arranged events equal the block shown to `select` at time
+    /// `t`. Nothing else is promised: the services pass a reused block
+    /// whose other rows are zero, so an implementation must read only
+    /// `contexts.context(v)` for `v` in `arrangement`.
     fn observe(
         &mut self,
         t: u64,
@@ -180,8 +185,10 @@ pub trait Policy: Send {
     );
 
     /// Per-event scores used by the most recent `select` call, indexed by
-    /// event id; `None` before the first selection. The harness ranks
-    /// these against the ground-truth expected rewards to reproduce the
+    /// event id; `None` before the first selection, and after a pruned
+    /// UCB round until [`ScoreWorkspace::complete_scores`] fills it in
+    /// (see [`ScoreWorkspace::score_ucb`]). The harness ranks these
+    /// against the ground-truth expected rewards to reproduce the
     /// paper's Kendall-τ plot (Figure 2). The default reads the policy's
     /// workspace.
     fn last_scores(&self) -> Option<&[f64]> {

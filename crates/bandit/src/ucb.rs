@@ -64,21 +64,12 @@ impl Policy for LinUcb {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let alpha = self.alpha;
-        let (ctx, dim) = (view.contexts.as_slice(), view.dim());
-        // θ̂ and Y⁻¹ borrowed together: no per-round clone, and the
-        // width pass runs matrix-at-a-time over the context block.
+        // θ̂ and Y⁻¹ borrowed together: no per-round clone. The workspace
+        // runs the fused dot/width kernel matrix-at-a-time over the
+        // context block, or, on a wide round, only over the events
+        // Oracle-Greedy can reach (DESIGN.md §10 "Pruned scoring").
         let (theta, sm) = self.estimator.theta_and_inverse();
-        let theta = theta.as_slice();
-        // One fused pass per range: point estimates land in `s`, widths
-        // in `w`, then the α-combine. Every range starts lane-aligned,
-        // so a pooled chunk writes the exact bits of the full-range call.
-        ws.fill_scores_and_widths(view, |range, s, w| {
-            sm.widths_and_dots_range_into(ctx, dim, theta, range.start, w, s);
-            for (si, wi) in s.iter_mut().zip(w.iter()) {
-                *si += alpha * wi;
-            }
-        });
+        ws.score_ucb(view, theta.as_slice(), sm.y_inv(), self.alpha);
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

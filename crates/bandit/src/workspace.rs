@@ -1,8 +1,10 @@
 //! Reusable per-policy scoring scratch for the batched selection path.
 
+use crate::prune::{self, PruneScratch};
 use crate::score_pool::{host_cores, pool_pays_off, shared_score_pool, ShardWriter, SCORE_CHUNK};
 use crate::{Oracle, OracleWorkspace, ScorePool, SelectionView};
-use fasea_core::Arrangement;
+use fasea_core::{Arrangement, ContextMatrix};
+use fasea_linalg::Matrix;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -84,6 +86,21 @@ pub trait Arranger: Send + Sync + std::fmt::Debug {
 /// 3. the built-in default: [`crate::GreedyOracle`] semantics —
 ///    bit-identical to an explicitly installed greedy oracle.
 ///
+/// ## Pruned UCB rounds
+///
+/// [`ScoreWorkspace::score_ucb`] scores a wide UCB round exactly only
+/// where Oracle-Greedy's initial ranked prefix can reach (DESIGN.md §10
+/// "Pruned scoring"); every other entry holds `-∞`, below every exact
+/// one. Such a round is *incomplete* until
+/// [`ScoreWorkspace::complete_scores`] fills in the rest with the same
+/// kernel, bit for bit. [`ScoreWorkspace::arrange_into`] completes it
+/// itself whenever the arrangement step would read past the exact set:
+/// the greedy scan widening past its initial prefix, an installed
+/// [`Arranger`], or any oracle other than [`crate::GreedyOracle`].
+/// [`ScoreWorkspace::last_scores`] is `None` for an incomplete round,
+/// so no caller reads a partial vector as a full one.
+/// [`ScoreWorkspace::score_stats`] counts the exact share.
+///
 /// ## Parallelism
 ///
 /// Each round the workspace decides, from the view's `|V|·d` and the
@@ -130,6 +147,12 @@ pub struct ScoreWorkspace {
     prefetch: PrefetchSlot,
     prefetch_stats: PrefetchStats,
     tier_stats: ModelTierStats,
+    prune: PruneScratch,
+    /// The score buffer holds a pruned round not yet completed.
+    pruned: bool,
+    /// Exact entries written by this round's scoring pass.
+    round_exact: usize,
+    score_stats: ScoreStats,
 }
 
 /// How a workspace picks where its rounds score.
@@ -156,6 +179,7 @@ impl Default for PoolChoice {
 #[derive(Debug, Clone, Default)]
 struct PrefetchSlot {
     valid: bool,
+    complete: bool,
     t: u64,
     epoch: u64,
     scores: Vec<f64>,
@@ -171,6 +195,40 @@ pub struct PrefetchStats {
     /// Rounds that found a stale stash (round or epoch mismatch) and
     /// recomputed their scores from scratch.
     pub recomputes: u64,
+}
+
+/// Cumulative scoring counters of a workspace: how many events its
+/// rounds scored exactly, against how many they ranked. Every policy's
+/// round is exact in full; only a pruned UCB round
+/// ([`ScoreWorkspace::score_ucb`]) scores fewer, and a completion
+/// ([`ScoreWorkspace::complete_scores`]) adds the rest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoreStats {
+    /// Rounds scored (marked by [`ScoreWorkspace::mark_scored`]).
+    pub rounds: u64,
+    /// Events across those rounds (`Σ |V|`).
+    pub events: u64,
+    /// Events the rounds' own scoring pass scored exactly.
+    pub exact: u64,
+    /// Events a later completion scored.
+    pub completed: u64,
+    /// Rounds that pruned.
+    pub pruned_rounds: u64,
+    /// Pruned rounds that were later completed.
+    pub completions: u64,
+}
+
+impl ScoreStats {
+    /// `(exact + completed) / events`: the share of events that were
+    /// scored exactly on any path — the scoring work done, against 1
+    /// for full scoring. 0 before the first round.
+    pub fn exact_share(&self) -> f64 {
+        if self.events == 0 {
+            0.0
+        } else {
+            (self.exact + self.completed) as f64 / self.events as f64
+        }
+    }
 }
 
 /// Cumulative model-tier counters mirrored from a backing per-user
@@ -212,6 +270,8 @@ impl ScoreWorkspace {
     /// slice has length exactly `num_events`; parallel shard writers
     /// derive their disjoint sub-ranges from this length.
     pub fn scores_mut(&mut self, num_events: usize) -> &mut [f64] {
+        self.pruned = false;
+        self.round_exact = num_events;
         self.scores.resize(num_events, 0.0);
         debug_assert_eq!(
             self.scores.len(),
@@ -226,6 +286,8 @@ impl ScoreWorkspace {
     /// satisfy the `len == num_events` invariant of
     /// [`ScoreWorkspace::scores_mut`].
     pub fn scores_and_widths_mut(&mut self, num_events: usize) -> (&mut [f64], &mut [f64]) {
+        self.pruned = false;
+        self.round_exact = num_events;
         self.scores.resize(num_events, 0.0);
         self.widths.resize(num_events, 0.0);
         debug_assert!(
@@ -246,14 +308,14 @@ impl ScoreWorkspace {
         };
     }
 
-    /// The pool this round of `view` runs on, or `None` for serial: the
-    /// forced pool, or the shared one when the cut-over says pooling a
-    /// view this size pays on this host.
-    fn score_pool_for(&mut self, view: &SelectionView<'_>) -> Option<Arc<ScorePool>> {
+    /// The pool a round of `n` events of dimension `dim` runs on, or
+    /// `None` for serial: the forced pool, or the shared one when the
+    /// cut-over says pooling a view this size pays on this host.
+    fn score_pool_for(&mut self, n: usize, dim: usize) -> Option<Arc<ScorePool>> {
         let pool = match &mut self.pool {
             PoolChoice::Forced(pool) => pool,
             PoolChoice::Auto(held) => {
-                if !pool_pays_off(view.num_events(), view.dim(), host_cores()) {
+                if !pool_pays_off(n, dim, host_cores()) {
                     return None;
                 }
                 held.get_or_insert_with(shared_score_pool)
@@ -272,7 +334,7 @@ impl ScoreWorkspace {
         f: impl Fn(Range<usize>, &mut [f64]) + Sync,
     ) {
         let n = view.num_events();
-        let pool = self.score_pool_for(view);
+        let pool = self.score_pool_for(n, view.dim());
         let scores = ShardWriter::new(self.scores_mut(n));
         run_chunked(pool.as_deref(), n, &|range| {
             // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
@@ -288,14 +350,109 @@ impl ScoreWorkspace {
         f: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
     ) {
         let n = view.num_events();
-        let pool = self.score_pool_for(view);
-        let (scores, widths) = self.scores_and_widths_mut(n);
-        let (scores, widths) = (ShardWriter::new(scores), ShardWriter::new(widths));
+        self.scores_and_widths_mut(n);
+        self.fill_all(n, view.dim(), f);
+    }
+
+    /// Runs `f` over the score and width buffers (already `n` long):
+    /// once over `0..n`, or once per pool chunk when a round this size
+    /// pools.
+    fn fill_all(
+        &mut self,
+        n: usize,
+        dim: usize,
+        f: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+    ) {
+        let pool = self.score_pool_for(n, dim);
+        let (scores, widths) = (
+            ShardWriter::new(&mut self.scores[..n]),
+            ShardWriter::new(&mut self.widths[..n]),
+        );
         run_chunked(pool.as_deref(), n, &|range| {
             // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
             let (s, w) = unsafe { (scores.slice(range.clone()), widths.slice(range.clone())) };
             f(range, s, w)
         });
+    }
+
+    /// Scores a UCB round: `r̂_v = x_v·θ̂ + α·√(x_vᵀY⁻¹x_v)` for the events
+    /// of `view`, with `theta` = θ̂ and `y_inv` = Y⁻¹ of the policy's
+    /// estimator.
+    ///
+    /// A wide round (`|V| ≥ 1024`, ranked prefix below `|V|`) prunes: it
+    /// scores exactly only the events Oracle-Greedy's initial prefix can
+    /// reach, and stays incomplete (see *Pruned UCB rounds* in the type
+    /// docs). Such a round scores serially; a round that cannot prune,
+    /// or whose bounds turn out too loose, runs the full pass, pooled
+    /// when it pays. After a too-loose round the next 1, 2, 4, … (up to
+    /// 64) rounds skip the attempt. Every exact entry is bit-identical
+    /// either way.
+    pub fn score_ucb(
+        &mut self,
+        view: &SelectionView<'_>,
+        theta: &[f64],
+        y_inv: &Matrix,
+        alpha: f64,
+    ) {
+        let (n, dim) = (view.num_events(), view.dim());
+        if prune::worth_pruning(n, dim, view.user_capacity) && self.prune.should_try() {
+            let exact = prune::score_pruned(
+                &mut self.prune,
+                view,
+                y_inv,
+                theta,
+                alpha,
+                &mut self.scores,
+                &mut self.widths,
+            );
+            self.prune.record(exact.is_some());
+            if let Some(exact) = exact {
+                self.pruned = true;
+                self.round_exact = exact;
+                return;
+            }
+        }
+        let ctx = view.contexts.as_slice();
+        self.fill_scores_and_widths(view, |range, s, w| {
+            let xs = &ctx[range.start * dim..range.end * dim];
+            prune::ucb_block(y_inv, theta, alpha, xs, dim, s, w);
+        });
+    }
+
+    /// Fills in every score a pruned round left out, from the same
+    /// `contexts` the round was scored on, with the round's own θ̂ and
+    /// Y⁻¹ (kept by the workspace, so this holds after `observe`). The
+    /// result is bit-identical to a full round. A no-op when the last
+    /// round is complete.
+    ///
+    /// # Panics
+    /// Panics if `contexts` does not have the pruned round's `|V|`.
+    pub fn complete_scores(&mut self, contexts: &ContextMatrix) {
+        if !self.pruned {
+            return;
+        }
+        let (n, dim) = (contexts.num_events(), contexts.dim());
+        assert_eq!(
+            n,
+            self.scores.len(),
+            "complete_scores: contexts do not match the pruned round"
+        );
+        let prune = std::mem::take(&mut self.prune);
+        let ctx = contexts.as_slice();
+        self.fill_all(n, dim, |range, s, w| {
+            prune
+                .model
+                .score_block(&ctx[range.start * dim..range.end * dim], dim, s, w);
+        });
+        self.prune = prune;
+        self.pruned = false;
+        self.score_stats.completed += (n - self.round_exact) as u64;
+        self.score_stats.completions += 1;
+    }
+
+    /// Cumulative exact/total scoring counters since construction.
+    pub fn score_stats(&self) -> ScoreStats {
+        self.score_stats
     }
 
     /// Installs (or removes, with `None`) the [`Oracle`] that owns the
@@ -323,26 +480,38 @@ impl ScoreWorkspace {
         self.arranger.as_ref()
     }
 
-    /// The scores written by the most recent `score_into` round.
+    /// The scores written by the most recent `score_into` round. Until
+    /// a pruned round is completed (while
+    /// [`ScoreWorkspace::last_scores`] is `None`), the entries outside
+    /// its exact set hold `-∞`.
     pub fn scores(&self) -> &[f64] {
         &self.scores
     }
 
     /// The widths written by the most recent UCB round (empty for
-    /// policies that never score widths).
+    /// policies that never score widths; stale outside the exact set of
+    /// a pruned round).
     pub fn widths(&self) -> &[f64] {
         &self.widths
     }
 
-    /// `Some(scores)` once at least one round has been scored — backs the
-    /// default [`crate::Policy::last_scores`].
+    /// `Some(scores)` once at least one round has been scored and the
+    /// last round's vector is complete — backs the default
+    /// [`crate::Policy::last_scores`]. `None` after a pruned round until
+    /// [`ScoreWorkspace::complete_scores`].
     pub fn last_scores(&self) -> Option<&[f64]> {
-        self.scored_once.then_some(self.scores.as_slice())
+        (self.scored_once && !self.pruned).then_some(self.scores.as_slice())
     }
 
-    /// Marks the score buffer as holding a completed round.
+    /// Marks the score buffer as holding a scored round, and counts it
+    /// in [`ScoreWorkspace::score_stats`].
     pub fn mark_scored(&mut self) {
         self.scored_once = true;
+        let st = &mut self.score_stats;
+        st.rounds += 1;
+        st.events += self.scores.len() as u64;
+        st.exact += self.round_exact.min(self.scores.len()) as u64;
+        st.pruned_rounds += u64::from(self.pruned);
     }
 
     /// The current model-version epoch. Stashed prefetches are valid
@@ -364,6 +533,9 @@ impl ScoreWorkspace {
     /// model epoch. At most one stash is held; a new stash replaces the
     /// old one. Stash buffers are reused across rounds, so steady-state
     /// pipelining allocates nothing once warm.
+    ///
+    /// A pruned round is not stashed: its score set is incomplete, and
+    /// the next `take_prefetch` counts a recompute instead.
     pub fn stash_prefetch(&mut self, t: u64) {
         let slot = &mut self.prefetch;
         slot.scores.clear();
@@ -373,6 +545,7 @@ impl ScoreWorkspace {
         slot.t = t;
         slot.epoch = self.model_epoch;
         slot.valid = true;
+        slot.complete = !self.pruned;
     }
 
     /// Consumes the stash for round `t` if one is held **and** still
@@ -388,9 +561,12 @@ impl ScoreWorkspace {
             return false;
         }
         slot.valid = false;
-        if slot.t == t && slot.epoch == self.model_epoch {
+        if slot.t == t && slot.epoch == self.model_epoch && slot.complete {
             std::mem::swap(&mut self.scores, &mut slot.scores);
             std::mem::swap(&mut self.widths, &mut slot.widths);
+            // Only complete score sets are stashed.
+            self.pruned = false;
+            self.round_exact = self.scores.len();
             self.prefetch_stats.hits += 1;
             true
         } else {
@@ -440,7 +616,33 @@ impl ScoreWorkspace {
     /// of the type docs for the precedence order. With no oracle or
     /// arranger installed this is the allocation-free
     /// [`crate::GreedyOracle`] path.
+    ///
+    /// After a pruned round, Oracle-Greedy first arranges from the
+    /// initial ranked prefix alone, which the exact set certifies. When
+    /// that prefix runs dry, or another engine is installed, the round
+    /// is completed first ([`ScoreWorkspace::complete_scores`] on
+    /// `view.contexts`) and arranged from the full vector.
     pub fn arrange_into(&mut self, view: &SelectionView<'_>, out: &mut Arrangement) {
+        if self.pruned {
+            let greedy =
+                self.arranger.is_none() && self.oracle.as_ref().is_none_or(|o| o.is_greedy());
+            let OracleWorkspace { order, mask, .. } = &mut self.oracle_ws;
+            if greedy
+                && crate::oracle::greedy_into(
+                    &self.scores,
+                    view.conflicts,
+                    view.remaining,
+                    view.user_capacity,
+                    order,
+                    mask,
+                    out,
+                    crate::oracle::initial_prefix(self.scores.len(), view.user_capacity),
+                )
+            {
+                return;
+            }
+            self.complete_scores(view.contexts);
+        }
         let ScoreWorkspace {
             scores,
             oracle_ws,
@@ -482,6 +684,7 @@ impl ScoreWorkspace {
             + self.prefetch.widths.len())
             * std::mem::size_of::<f64>()
             + self.oracle_ws.state_bytes()
+            + self.prune.state_bytes()
     }
 }
 

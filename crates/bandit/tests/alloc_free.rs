@@ -4,7 +4,8 @@
 //! per-thread allocation bytes/calls. After a warm-up round (which may
 //! grow workspace buffers), every steady-state `select_into` + `observe`
 //! round of the deterministic-score learning policies — UCB, Exploit,
-//! eGreedy — must allocate **zero** bytes.
+//! eGreedy — must allocate **zero** bytes, UCB's pruned wide rounds
+//! included.
 //!
 //! Caveats encoded here:
 //! * rounds stay far below the estimator's Cholesky refresh interval
@@ -77,11 +78,34 @@ fn fixture() -> (ContextMatrix, ConflictGraph, Vec<u32>) {
     (ctx, conflicts, remaining)
 }
 
+/// A view wide enough for UCB to prune (`|V| ≥ 1024`): hashed contexts
+/// whose row norms are skewed towards zero, so from the first round
+/// most events' score bounds fall short of the ranked prefix.
+fn wide_fixture() -> (ContextMatrix, ConflictGraph, Vec<u32>) {
+    let n = 2_048;
+    let unit = |i: usize| {
+        let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        h as f64 / (1u64 << 53) as f64
+    };
+    let ctx = ContextMatrix::from_fn(n, DIM, |v, j| {
+        (unit(v * DIM + j) - 0.3) * (0.02 + unit(v + 7_919).powi(4))
+    });
+    let conflicts = ConflictGraph::from_pairs(n, &[(0, 1), (2, 3), (10, 2000)]);
+    (ctx, conflicts, vec![1_000u32; n])
+}
+
 /// Warm the policy (growing its workspace and arrangement buffers),
 /// then assert that `rounds` further select+observe rounds allocate
 /// exactly zero bytes.
-fn assert_steady_state_rounds_allocate_zero(mut policy: Box<dyn Policy>, label: &str) {
-    let (ctx, conflicts, remaining) = fixture();
+fn assert_steady_state_rounds_allocate_zero(policy: Box<dyn Policy>, label: &str) {
+    assert_steady_state_rounds_allocate_zero_on(policy, label, fixture());
+}
+
+fn assert_steady_state_rounds_allocate_zero_on(
+    mut policy: Box<dyn Policy>,
+    label: &str,
+    (ctx, conflicts, remaining): (ContextMatrix, ConflictGraph, Vec<u32>),
+) -> Box<dyn Policy> {
     let cu = 4u32;
     let mut out = Arrangement::empty();
 
@@ -124,11 +148,30 @@ fn assert_steady_state_rounds_allocate_zero(mut policy: Box<dyn Policy>, label: 
         (0, 0),
         "{label}: steady-state rounds allocated {bytes} bytes in {calls} calls"
     );
+    policy
 }
 
 #[test]
 fn ucb_steady_state_rounds_are_allocation_free() {
     assert_steady_state_rounds_allocate_zero(Box::new(LinUcb::new(DIM, 1.0, 2.0)), "UCB");
+}
+
+#[test]
+fn ucb_pruned_rounds_are_allocation_free() {
+    // At |V| = 2048 UCB scores only the events Oracle-Greedy can reach;
+    // those rounds must stay allocation-free too, and must really prune.
+    let policy = assert_steady_state_rounds_allocate_zero_on(
+        Box::new(LinUcb::new(DIM, 1.0, 2.0)),
+        "UCB (pruned)",
+        wide_fixture(),
+    );
+    let stats = policy.workspace().score_stats();
+    assert!(
+        stats.pruned_rounds >= 64,
+        "only {} of {} rounds pruned",
+        stats.pruned_rounds,
+        stats.rounds
+    );
 }
 
 #[test]

@@ -106,6 +106,11 @@ fn assert_lockstep_equal(
         };
         serial.select_into(&view, &mut a_serial);
         pooled.select_into(&view, &mut a_pooled);
+        // A wide UCB round prunes to the events Oracle-Greedy can reach;
+        // completing it (through the pool, on the pooled side) yields
+        // the full vector both sides must agree on.
+        serial.workspace_mut().complete_scores(&inst.contexts);
+        pooled.workspace_mut().complete_scores(&inst.contexts);
         let s = serial.last_scores().expect("serial scored");
         let p = pooled.last_scores().expect("pooled scored");
         assert_eq!(s.len(), p.len());

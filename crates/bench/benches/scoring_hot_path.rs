@@ -1,7 +1,7 @@
 //! Per-round scoring latency of the batched `Policy` path: old vs new
-//! for UCB, and serial vs pooled vs automatic for UCB and TS — the
+//! for UCB, serial vs pooled vs automatic for UCB and TS — the
 //! measurement behind the serial/pooled cut-over in
-//! `fasea_bandit::ScoreWorkspace`.
+//! `fasea_bandit::ScoreWorkspace` — and pruned vs full UCB scoring.
 //!
 //! The pre-redesign UCB round scored one event at a time — clone `θ̂`,
 //! allocate a `Vector` per event for the confidence width, allocate the
@@ -16,7 +16,18 @@
 //! * `pooled` — forced through a pool of one thread per core (at least
 //!   two, so a one-core host still measures the dispatch overhead);
 //! * `auto`   — the workspace's own choice, which pools only once
-//!   `|V|·d` reaches the measured cut-over on a multi-core host.
+//!   `|V|·d` reaches the measured cut-over on a multi-core host;
+//! * `full`   — UCB only: every event scored by the fused kernel, with
+//!   the automatic pool choice — LinUCB's round before pruned scoring.
+//!
+//! From `|V| = 1024` on, LinUCB prunes: it scores exactly only the
+//! events Oracle-Greedy's initial prefix can reach (DESIGN.md §10), so
+//! `serial`/`pooled`/`auto` time that path and `exact_share` records the
+//! share of events the timed round scored exactly. The `PRUNE_GRID`
+//! cells warm UCB on the sim-wide generator's arrivals (unit-norm
+//! contexts, answers from its ground truth) for `warm_rounds` rounds —
+//! 0 is the cold first round — and time the next arrival, so they show
+//! the pruned round at the point of the horizon it is measured at.
 //!
 //! UCB's per-event work grows with `d²` (the width), TS's with `d`
 //! (one dot product after a serial posterior draw), so the pair brackets
@@ -37,12 +48,15 @@
 //!     cargo bench --bench scoring_hot_path
 //! ```
 
+use fasea_bandit::ScoreWorkspace;
 use fasea_bandit::{
     GreedyOracle, LinUcb, Oracle, OracleWorkspace, Policy, RidgeEstimator, ScorePool,
     SelectionView, ThompsonSampling,
 };
 use fasea_bench::{budget, BenchReport, Field};
-use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback};
+use fasea_core::{Arrangement, ConflictGraph, ContextMatrix, EventId, Feedback, UserArrival};
+use fasea_datagen::{SyntheticConfig, SyntheticWorkload};
+use fasea_stats::CoinStream;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,6 +81,66 @@ const GRID: &[(usize, usize)] = &[
 
 /// Warm-up rounds before timing: enough for non-trivial `Y⁻¹` and `θ̂`.
 const WARM_ROUNDS: u64 = 32;
+
+/// `(|V|, d)` shapes of the pruned-versus-full cells, each timed cold
+/// and after each of `PRUNE_WARM` warm-up rounds.
+const PRUNE_GRID: &[(usize, usize)] = &[(2_500, 20), (5_000, 20), (10_000, 20)];
+const PRUNE_WARM: &[u64] = &[0, 1_000];
+
+/// UCB scored the way LinUCB scored before pruning: the fused dot/width
+/// kernel over every event, pooled when the workspace's cut-over says
+/// so.
+struct FullUcb {
+    estimator: RidgeEstimator,
+    alpha: f64,
+    ws: ScoreWorkspace,
+}
+
+impl Policy for FullUcb {
+    fn name(&self) -> &'static str {
+        "UCB-full"
+    }
+
+    fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
+        let alpha = self.alpha;
+        let (ctx, dim) = (view.contexts.as_slice(), view.dim());
+        let (theta, sm) = self.estimator.theta_and_inverse();
+        let theta = theta.as_slice();
+        ws.fill_scores_and_widths(view, |range, s, w| {
+            sm.widths_and_dots_range_into(ctx, dim, theta, range.start, w, s);
+            for (si, wi) in s.iter_mut().zip(w.iter()) {
+                *si += alpha * wi;
+            }
+        });
+    }
+
+    fn workspace(&self) -> &ScoreWorkspace {
+        &self.ws
+    }
+
+    fn workspace_mut(&mut self) -> &mut ScoreWorkspace {
+        &mut self.ws
+    }
+
+    fn observe(&mut self, _: u64, contexts: &ContextMatrix, a: &Arrangement, fb: &Feedback) {
+        for (v, accepted) in fb.zip(a) {
+            let r = if accepted { 1.0 } else { 0.0 };
+            self.estimator.observe(contexts.context(v), r).unwrap();
+        }
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.estimator.state_bytes()
+    }
+}
+
+fn full_ucb(dim: usize) -> Box<dyn Policy> {
+    Box::new(FullUcb {
+        estimator: RidgeEstimator::new(dim, 1.0),
+        alpha: 2.0,
+        ws: ScoreWorkspace::new(),
+    })
+}
 
 /// The pre-redesign scalar UCB scoring round and its allocations: per-round
 /// `θ̂` clone, per-event `Vector` allocation inside `confidence_width`,
@@ -195,11 +269,16 @@ struct Cell {
     policy: &'static str,
     num_events: usize,
     dim: usize,
+    warm_rounds: u64,
     /// UCB only.
     legacy_ns: Option<f64>,
     serial_ns: f64,
     pooled_ns: f64,
     auto_ns: f64,
+    /// UCB only.
+    full_ns: Option<f64>,
+    /// Share of events the automatic path's timed round scored exactly.
+    exact_share: f64,
 }
 
 /// Median ns per call of each of `fs`, timed in ~1 ms batches taken
@@ -252,20 +331,25 @@ fn select_round<'a>(
     }
 }
 
-/// Times one round of `select_into` (no observe: the learner state
-/// stays fixed) along each path, after asserting that every path
-/// scores and arranges the first timed round bit-identically.
-fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>) -> Cell {
-    let view = fx.view(WARM_ROUNDS);
-    let mut paths = [
-        warmed(kind, fx, Some(Arc::new(ScorePool::new(1)))),
-        warmed(kind, fx, Some(Arc::clone(pool))),
-        warmed(kind, fx, None),
-    ];
+/// Selects `view` through every path, completes any pruned round, and
+/// asserts that all paths arranged and scored bit-identically. Returns
+/// the reference arrangement and scores, and the automatic path's
+/// exact share (taken before completion).
+fn assert_paths_agree(
+    paths: &mut [Box<dyn Policy>],
+    view: &SelectionView<'_>,
+) -> (Arrangement, Vec<f64>, f64) {
     let mut reference: Option<(Arrangement, Vec<f64>)> = None;
-    for policy in &mut paths {
+    let mut exact_share = 1.0;
+    for (i, policy) in paths.iter_mut().enumerate() {
         let mut out = Arrangement::empty();
-        policy.select_into(&view, &mut out);
+        let before = policy.workspace().score_stats();
+        policy.select_into(view, &mut out);
+        if i == 2 {
+            let after = policy.workspace().score_stats();
+            exact_share = (after.exact - before.exact) as f64 / view.num_events() as f64;
+        }
+        policy.workspace_mut().complete_scores(view.contexts);
         let scores = policy.last_scores().expect("scores after select");
         match &reference {
             None => reference = Some((out, scores.to_vec())),
@@ -277,9 +361,31 @@ fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>)
             }
         }
     }
-    let (ref_out, ref_scores) = reference.expect("three paths");
+    let (out, scores) = reference.expect("at least one path");
+    (out, scores, exact_share)
+}
 
-    let mut selects = paths.each_mut().map(|policy| select_round(policy, &view));
+/// Times one round of `select_into` (no observe: the learner state
+/// stays fixed) along each path, after asserting that every path
+/// scores and arranges the first timed round bit-identically.
+fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>) -> Cell {
+    let view = fx.view(WARM_ROUNDS);
+    let mut paths = vec![
+        warmed(kind, fx, Some(Arc::new(ScorePool::new(1)))),
+        warmed(kind, fx, Some(Arc::clone(pool))),
+        warmed(kind, fx, None),
+    ];
+    if matches!(kind, Kind::Ucb) {
+        let mut full = full_ucb(fx.contexts.dim());
+        warm(full.as_mut(), fx);
+        paths.push(full);
+    }
+    let (ref_out, ref_scores, exact_share) = assert_paths_agree(&mut paths, &view);
+
+    let mut selects: Vec<_> = paths
+        .iter_mut()
+        .map(|policy| select_round(policy, &view))
+        .collect();
     let mut timed: Vec<&mut dyn FnMut()> =
         selects.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
     let mut legacy = matches!(kind, Kind::Ucb).then(|| {
@@ -312,11 +418,156 @@ fn bench_cell(kind: Kind, fx: &Fixture, budget: Duration, pool: &Arc<ScorePool>)
         policy: kind.name(),
         num_events: fx.contexts.num_events(),
         dim: fx.contexts.dim(),
-        legacy_ns: ns.get(3).copied(),
+        warm_rounds: WARM_ROUNDS,
+        legacy_ns: ns.get(4).copied(),
         serial_ns: ns[0],
         pooled_ns: ns[1],
         auto_ns: ns[2],
+        full_ns: ns.get(3).copied(),
+        exact_share,
     }
+}
+
+/// A pruned-versus-full cell: UCB warmed for `warm_rounds` rounds on the
+/// sim-wide generator at `|V| × d`, then the next arrival timed along
+/// the serial, pooled, automatic and full paths.
+fn bench_prune_cell(
+    num_events: usize,
+    dim: usize,
+    warm_rounds: u64,
+    budget: Duration,
+    pool: &Arc<ScorePool>,
+) -> Cell {
+    let workload = SyntheticWorkload::generate(SyntheticConfig {
+        num_events,
+        dim,
+        seed: 20_171,
+        ..SyntheticConfig::default()
+    });
+    let mut paths: Vec<Box<dyn Policy>> = vec![
+        Box::new(LinUcb::new(dim, 1.0, 2.0)),
+        Box::new(LinUcb::new(dim, 1.0, 2.0)),
+        Box::new(LinUcb::new(dim, 1.0, 2.0)),
+        full_ucb(dim),
+    ];
+    paths[0]
+        .workspace_mut()
+        .set_score_pool(Some(Arc::new(ScorePool::new(1))));
+    paths[1]
+        .workspace_mut()
+        .set_score_pool(Some(Arc::clone(pool)));
+    let conflicts = workload.instance.conflicts();
+    let remaining = vec![u32::MAX; num_events];
+    fn view<'a>(
+        t: u64,
+        user: &'a UserArrival,
+        conflicts: &'a ConflictGraph,
+        remaining: &'a [u32],
+    ) -> SelectionView<'a> {
+        SelectionView {
+            t,
+            user_capacity: user.capacity,
+            contexts: &user.contexts,
+            conflicts,
+            remaining,
+        }
+    }
+    let mut out = Arrangement::empty();
+    for t in 0..warm_rounds {
+        let user = workload.arrivals.arrival(t);
+        let mut answers: Option<Feedback> = None;
+        for policy in &mut paths {
+            policy.select_into(&view(t, &user, conflicts, &remaining), &mut out);
+            let fb = answers.get_or_insert_with(|| {
+                let coins = CoinStream::new(0xC0_1D);
+                Feedback::new(
+                    out.iter()
+                        .map(|v| {
+                            coins.uniform(t, v.index() as u64)
+                                < workload.model.accept_probability(&user.contexts, v)
+                        })
+                        .collect(),
+                )
+            });
+            policy.observe(t, &user.contexts, &out, fb);
+        }
+    }
+    let user = workload.arrivals.arrival(warm_rounds);
+    let view = view(warm_rounds, &user, conflicts, &remaining);
+    let (_, _, exact_share) = assert_paths_agree(&mut paths, &view);
+    let mut selects: Vec<_> = paths
+        .iter_mut()
+        .map(|policy| select_round(policy, &view))
+        .collect();
+    let mut timed: Vec<&mut dyn FnMut()> =
+        selects.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+    let ns = time_interleaved(budget, &mut timed);
+    Cell {
+        policy: "UCB",
+        num_events,
+        dim,
+        warm_rounds,
+        legacy_ns: None,
+        serial_ns: ns[0],
+        pooled_ns: ns[1],
+        auto_ns: ns[2],
+        full_ns: Some(ns[3]),
+        exact_share,
+    }
+}
+
+/// Prints one cell and adds it to the table.
+fn record(report: &mut BenchReport, threads: usize, c: &Cell) {
+    let legacy = c
+        .legacy_ns
+        .map_or_else(|| "             -".into(), |ns| format!("{ns:>11.0} ns"));
+    let full = c
+        .full_ns
+        .map_or_else(|| "             -".into(), |ns| format!("{ns:>11.0} ns"));
+    println!(
+        "scoring_hot_path/{:<3} {:>6}x{:<3} warm {:>4}  legacy: {legacy}   serial: {:>10.0} ns   pooled[{threads}t]: {:>10.0} ns ({:.2}x)   auto: {:>10.0} ns ({:.2}x)   full: {full}   exact share {:.3}",
+        c.policy,
+        c.num_events,
+        c.dim,
+        c.warm_rounds,
+        c.serial_ns,
+        c.pooled_ns,
+        c.serial_ns / c.pooled_ns,
+        c.auto_ns,
+        c.serial_ns / c.auto_ns,
+        c.exact_share,
+    );
+    report.cell(vec![
+        ("policy", c.policy.into()),
+        ("num_events", c.num_events.into()),
+        ("dim", c.dim.into()),
+        ("work", (c.num_events * c.dim).into()),
+        ("warm_rounds", c.warm_rounds.into()),
+        (
+            "legacy_ns",
+            c.legacy_ns.map(|ns| Field::fixed(ns, 1)).into(),
+        ),
+        ("serial_ns", Field::fixed(c.serial_ns, 1)),
+        ("pooled_ns", Field::fixed(c.pooled_ns, 1)),
+        ("auto_ns", Field::fixed(c.auto_ns, 1)),
+        ("full_ns", c.full_ns.map(|ns| Field::fixed(ns, 1)).into()),
+        ("exact_share", Field::fixed(c.exact_share, 4)),
+        (
+            "speedup",
+            c.legacy_ns
+                .map(|ns| Field::fixed(ns / c.serial_ns, 2))
+                .into(),
+        ),
+        (
+            "parallel_speedup",
+            Field::fixed(c.serial_ns / c.pooled_ns, 2),
+        ),
+        ("auto_speedup", Field::fixed(c.serial_ns / c.auto_ns, 2)),
+        (
+            "pruned_speedup",
+            c.full_ns.map(|ns| Field::fixed(ns / c.auto_ns, 2)).into(),
+        ),
+    ]);
 }
 
 fn main() {
@@ -337,45 +588,13 @@ fn main() {
     for &(num_events, dim) in GRID {
         let fx = Fixture::new(num_events, dim);
         for kind in [Kind::Ucb, Kind::Ts] {
-            let c = bench_cell(kind, &fx, budget, &pool);
-            let legacy = c
-                .legacy_ns
-                .map_or_else(|| "             -".into(), |ns| format!("{ns:>11.0} ns"));
-            println!(
-                "scoring_hot_path/{:<3} {:>6}x{:<3} legacy: {legacy}   serial: {:>10.0} ns   pooled[{threads}t]: {:>10.0} ns ({:.2}x)   auto: {:>10.0} ns ({:.2}x)",
-                c.policy,
-                c.num_events,
-                c.dim,
-                c.serial_ns,
-                c.pooled_ns,
-                c.serial_ns / c.pooled_ns,
-                c.auto_ns,
-                c.serial_ns / c.auto_ns,
-            );
-            report.cell(vec![
-                ("policy", c.policy.into()),
-                ("num_events", c.num_events.into()),
-                ("dim", c.dim.into()),
-                ("work", (c.num_events * c.dim).into()),
-                (
-                    "legacy_ns",
-                    c.legacy_ns.map(|ns| Field::fixed(ns, 1)).into(),
-                ),
-                ("serial_ns", Field::fixed(c.serial_ns, 1)),
-                ("pooled_ns", Field::fixed(c.pooled_ns, 1)),
-                ("auto_ns", Field::fixed(c.auto_ns, 1)),
-                (
-                    "speedup",
-                    c.legacy_ns
-                        .map(|ns| Field::fixed(ns / c.serial_ns, 2))
-                        .into(),
-                ),
-                (
-                    "parallel_speedup",
-                    Field::fixed(c.serial_ns / c.pooled_ns, 2),
-                ),
-                ("auto_speedup", Field::fixed(c.serial_ns / c.auto_ns, 2)),
-            ]);
+            record(&mut report, threads, &bench_cell(kind, &fx, budget, &pool));
+        }
+    }
+    for &(num_events, dim) in PRUNE_GRID {
+        for &warm_rounds in PRUNE_WARM {
+            let c = bench_prune_cell(num_events, dim, warm_rounds, budget, &pool);
+            record(&mut report, threads, &c);
         }
     }
 

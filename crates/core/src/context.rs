@@ -126,7 +126,16 @@ impl ContextMatrix {
 
     /// `true` if every entry is finite.
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        // Adding one exponent ulp to the masked exponent carries into
+        // the sign bit exactly when the exponent is all ones (±∞, NaN).
+        // An integer OR-fold has no early exit and reassociates freely,
+        // so the scan vectorises: it runs on every served proposal.
+        const EXP: u64 = 0x7FF0_0000_0000_0000;
+        let carried = self
+            .data
+            .iter()
+            .fold(0u64, |acc, x| acc | ((x.to_bits() & EXP) + (1 << 52)));
+        carried >> 63 == 0
     }
 
     /// Raw row-major data (used by memory accounting).
@@ -138,6 +147,37 @@ impl ContextMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn is_finite_flags_only_nan_and_infinities() {
+        let finite = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        for &x in &finite {
+            assert!(
+                ContextMatrix::from_rows(2, 1, vec![0.5, x]).is_finite(),
+                "{x:e}"
+            );
+        }
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for pos in 0..9 {
+                let mut data = vec![0.25; 9];
+                data[pos] = bad;
+                assert!(
+                    !ContextMatrix::from_rows(3, 3, data).is_finite(),
+                    "{bad} at {pos}"
+                );
+            }
+        }
+        assert!(ContextMatrix::zeros(0, 3).is_finite());
+    }
 
     #[test]
     fn rows_are_contiguous() {

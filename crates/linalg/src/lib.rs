@@ -64,7 +64,7 @@ pub use error::LinalgError;
 pub use matrix::{outer, Matrix, QF_LANES};
 pub use sherman_morrison::ShermanMorrisonInverse;
 pub use sketch::FrequentDirections;
-pub use vector::{dot_slices, Vector};
+pub use vector::{dot_slices, dots_and_sq_norms_into, Vector};
 
 /// Tolerance used by approximate comparisons in tests and validation
 /// helpers. Chosen loose enough to absorb accumulation error for the

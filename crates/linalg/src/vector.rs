@@ -180,6 +180,96 @@ pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+/// Per row `x_i` of the row-major block `xs`: `dots[i] = x_i · y` and
+/// `sq_norms[i] = x_i · x_i`, each bit-identical to [`dot_slices`] —
+/// the bound pass of pruned UCB scoring, which needs both for every
+/// event of a round.
+///
+/// [`dot_slices`]' four partial sums are the four lanes of one 256-bit
+/// register, so with AVX a row's two dots run as explicit 4-wide
+/// `mul`/`add` (never FMA) with the same left-to-right combine and
+/// scalar tail; elsewhere each row calls [`dot_slices`] twice.
+///
+/// # Panics
+/// Panics if `xs` is not a whole number of `dim`-rows, `y.len() != dim`,
+/// or either output's length is not the row count.
+pub fn dots_and_sq_norms_into(
+    xs: &[f64],
+    dim: usize,
+    y: &[f64],
+    dots: &mut [f64],
+    sq_norms: &mut [f64],
+) {
+    assert!(
+        dim > 0 && xs.len().is_multiple_of(dim),
+        "dots_and_sq_norms_into: block is not row-major n × dim"
+    );
+    assert_eq!(y.len(), dim, "dots_and_sq_norms_into: y length");
+    assert_eq!(
+        dots.len(),
+        xs.len() / dim,
+        "dots_and_sq_norms_into: dots length"
+    );
+    assert_eq!(
+        sq_norms.len(),
+        dots.len(),
+        "dots_and_sq_norms_into: norms length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX availability was just detected, and the shapes are
+        // asserted above.
+        unsafe { dots_and_sq_norms_avx(xs, dim, y, dots, sq_norms) };
+        return;
+    }
+    for ((x, d), q) in xs.chunks_exact(dim).zip(dots).zip(sq_norms) {
+        *d = dot_slices(x, y);
+        *q = dot_slices(x, x);
+    }
+}
+
+/// AVX body of [`dots_and_sq_norms_into`].
+///
+/// # Safety
+/// The caller must ensure AVX is available and the shapes
+/// [`dots_and_sq_norms_into`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn dots_and_sq_norms_avx(
+    xs: &[f64],
+    dim: usize,
+    y: &[f64],
+    dots: &mut [f64],
+    sq_norms: &mut [f64],
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+    let chunks = dim / 4;
+    let yp = y.as_ptr();
+    for ((x, d), q) in xs.chunks_exact(dim).zip(dots).zip(sq_norms) {
+        let xp = x.as_ptr();
+        let mut sd = _mm256_setzero_pd();
+        let mut sq = _mm256_setzero_pd();
+        for c in 0..chunks {
+            let xv = _mm256_loadu_pd(xp.add(4 * c));
+            sd = _mm256_add_pd(sd, _mm256_mul_pd(xv, _mm256_loadu_pd(yp.add(4 * c))));
+            sq = _mm256_add_pd(sq, _mm256_mul_pd(xv, xv));
+        }
+        let (mut ld, mut lq) = ([0.0f64; 4], [0.0f64; 4]);
+        _mm256_storeu_pd(ld.as_mut_ptr(), sd);
+        _mm256_storeu_pd(lq.as_mut_ptr(), sq);
+        let mut dot = ld[0] + ld[1] + ld[2] + ld[3];
+        let mut sqn = lq[0] + lq[1] + lq[2] + lq[3];
+        for j in chunks * 4..dim {
+            dot += x[j] * y[j];
+            sqn += x[j] * x[j];
+        }
+        *d = dot;
+        *q = sqn;
+    }
+}
+
 impl From<Vec<f64>> for Vector {
     fn from(v: Vec<f64>) -> Self {
         Vector(v)
@@ -290,6 +380,31 @@ impl fmt::Display for Vector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batched_dots_and_norms_are_bit_identical_to_dot_slices() {
+        for dim in [1usize, 3, 4, 5, 8, 20, 23] {
+            let n = 37;
+            let xs: Vec<f64> = (0..n * dim)
+                .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / 9e15 - 0.4)
+                .collect();
+            let y: Vec<f64> = (0..dim).map(|j| 0.7 - 0.13 * j as f64).collect();
+            let (mut dots, mut sq) = (vec![0.0; n], vec![0.0; n]);
+            dots_and_sq_norms_into(&xs, dim, &y, &mut dots, &mut sq);
+            for (i, x) in xs.chunks_exact(dim).enumerate() {
+                assert_eq!(
+                    dots[i].to_bits(),
+                    dot_slices(x, &y).to_bits(),
+                    "dim {dim} row {i}"
+                );
+                assert_eq!(
+                    sq[i].to_bits(),
+                    dot_slices(x, x).to_bits(),
+                    "dim {dim} row {i}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn zeros_and_dim() {

@@ -264,19 +264,12 @@ pub fn run_simulation(
 
         if at_checkpoint {
             let opt_acc = opt_state.accounting;
-            push_checkpoint(
-                &mut opt_state,
-                t + 1,
-                &opt_acc,
-                config.track_kendall.then_some(truth_buf.as_slice()),
-            );
+            let truth = config
+                .track_kendall
+                .then_some((truth_buf.as_slice(), &arrival.contexts));
+            push_checkpoint(&mut opt_state, t + 1, &opt_acc, truth);
             for st in states.iter_mut() {
-                push_checkpoint(
-                    st,
-                    t + 1,
-                    &opt_acc,
-                    config.track_kendall.then_some(truth_buf.as_slice()),
-                );
+                push_checkpoint(st, t + 1, &opt_acc, truth);
             }
             next_cp += 1;
         }
@@ -355,9 +348,12 @@ fn push_checkpoint<M: RewardModel + Clone>(
     st: &mut PolicyState<'_, M>,
     t: u64,
     reference: &RegretAccounting,
-    truth: Option<&[f64]>,
+    truth: Option<(&[f64], &fasea_core::ContextMatrix)>,
 ) {
-    let tau = truth.and_then(|truth| {
+    let tau = truth.and_then(|(truth, contexts)| {
+        // A pruned UCB round scored only what Oracle-Greedy could
+        // reach; Kendall-τ ranks every event, so finish the vector.
+        st.policy.workspace_mut().complete_scores(contexts);
         st.policy
             .last_scores()
             .and_then(|scores| kendall_tau(scores, truth))

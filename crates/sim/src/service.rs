@@ -42,7 +42,8 @@ pub enum ServiceError {
         /// Slots supplied.
         got: usize,
     },
-    /// The context block does not match the instance (|V| or d).
+    /// The context block does not match the instance (|V| or d), or
+    /// carries a non-finite entry (no estimator can learn from it).
     ContextShapeMismatch,
     /// The wrapped policy produced an infeasible arrangement — a policy
     /// bug that the service refuses to expose to users.
@@ -98,7 +99,10 @@ impl fmt::Display for ServiceError {
                 write!(f, "feedback for {got} events but {expected} were arranged")
             }
             ServiceError::ContextShapeMismatch => {
-                write!(f, "context block does not match the instance shape")
+                write!(
+                    f,
+                    "context block does not match the instance shape or is not finite"
+                )
             }
             ServiceError::PolicyProducedInfeasible(why) => {
                 write!(f, "policy produced an infeasible arrangement: {why}")
@@ -152,11 +156,17 @@ pub struct ArrangementService {
     instance: ProblemInstance,
     remaining: Vec<u32>,
     t: u64,
-    pending: Option<(Arrangement, ContextMatrix)>,
+    /// The arrangement awaiting feedback, if any.
+    pending: Option<Arrangement>,
+    /// Full-shape context block reused across rounds: zero except for
+    /// the pending arrangement's rows, which hold the contexts `select`
+    /// saw. `observe` reads only those rows, so a round copies `c_u`
+    /// rows instead of the whole `|V|·d` block.
+    pending_contexts: ContextMatrix,
     accounting: RegretAccounting,
     // Selection buffer reused across proposals; the policy's own
     // workspace holds the scoring scratch, so a proposal's hot path
-    // allocates only the pending/returned copies.
+    // allocates only the pending/returned arrangement copies.
     scratch: Arrangement,
 }
 
@@ -164,12 +174,14 @@ impl ArrangementService {
     /// Creates the service with full capacities.
     pub fn new(instance: ProblemInstance, policy: Box<dyn Policy>) -> Self {
         let remaining = instance.capacities().to_vec();
+        let pending_contexts = ContextMatrix::zeros(instance.num_events(), instance.dim());
         ArrangementService {
             policy,
             instance,
             remaining,
             t: 0,
             pending: None,
+            pending_contexts,
             accounting: RegretAccounting::new(),
             scratch: Arrangement::empty(),
         }
@@ -200,10 +212,14 @@ impl ArrangementService {
         self.pending.is_some()
     }
 
-    /// The pending proposal and the context block it was computed from,
-    /// if a proposal awaits feedback.
+    /// The pending proposal and its context block, if a proposal awaits
+    /// feedback. The block has the instance's full shape, but only the
+    /// arranged events' rows are the contexts the proposal was computed
+    /// from; every other row is zero. Those rows are all that
+    /// [`Policy::observe`] reads, and all a snapshot needs to finish the
+    /// round.
     pub fn pending(&self) -> Option<(&Arrangement, &ContextMatrix)> {
-        self.pending.as_ref().map(|(a, c)| (a, c))
+        self.pending.as_ref().map(|a| (a, &self.pending_contexts))
     }
 
     /// Read access to the wrapped policy (state snapshots).
@@ -275,7 +291,8 @@ impl ArrangementService {
     /// # Errors
     /// [`ServiceError::ContextShapeMismatch`] if `remaining` or the
     /// pending context block do not match the instance shape, or if any
-    /// recovered remaining capacity exceeds the instance capacity.
+    /// recovered remaining capacity exceeds the instance capacity. Only
+    /// the pending arrangement's rows of the block are kept.
     pub fn from_parts(
         instance: ProblemInstance,
         policy: Box<dyn Policy>,
@@ -292,6 +309,7 @@ impl ArrangementService {
         {
             return Err(ServiceError::ContextShapeMismatch);
         }
+        let mut pending_contexts = ContextMatrix::zeros(instance.num_events(), instance.dim());
         if let Some((a, ctx)) = &pending {
             if ctx.num_events() != instance.num_events()
                 || ctx.dim() != instance.dim()
@@ -299,13 +317,19 @@ impl ArrangementService {
             {
                 return Err(ServiceError::ContextShapeMismatch);
             }
+            for v in a.iter() {
+                pending_contexts
+                    .context_mut(v)
+                    .copy_from_slice(ctx.context(v));
+            }
         }
         Ok(ArrangementService {
             policy,
             instance,
             remaining,
             t,
-            pending,
+            pending: pending.map(|(a, _)| a),
+            pending_contexts,
             accounting,
             scratch: Arrangement::empty(),
         })
@@ -316,15 +340,22 @@ impl ArrangementService {
     ///
     /// # Errors
     /// [`ServiceError::FeedbackPending`] if called out of order,
-    /// [`ServiceError::ContextShapeMismatch`] on malformed input, or
+    /// [`ServiceError::ContextShapeMismatch`] on malformed input (a
+    /// wrong shape or a non-finite entry), or
     /// [`ServiceError::PolicyProducedInfeasible`] if the wrapped policy
-    /// misbehaves (the service re-validates every proposal).
+    /// misbehaves (the service re-validates every proposal). A refused
+    /// proposal leaves no trace: the policy has not run, so a sampling
+    /// policy's RNG has not moved.
     pub fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
         if self.pending.is_some() {
             return Err(ServiceError::FeedbackPending);
         }
+        // Refuse non-finite contexts before `select`: the estimator
+        // would reject them only at `observe`, after the proposal was
+        // exposed (and, durably, logged).
         if user.contexts.num_events() != self.instance.num_events()
             || user.contexts.dim() != self.instance.dim()
+            || !user.contexts.is_finite()
         {
             return Err(ServiceError::ContextShapeMismatch);
         }
@@ -343,9 +374,13 @@ impl ArrangementService {
             user.capacity,
         )
         .map_err(|e| ServiceError::PolicyProducedInfeasible(e.to_string()))?;
-        let arrangement = self.scratch.clone();
-        self.pending = Some((arrangement.clone(), user.contexts.clone()));
-        Ok(arrangement)
+        for v in self.scratch.iter() {
+            self.pending_contexts
+                .context_mut(v)
+                .copy_from_slice(user.contexts.context(v));
+        }
+        self.pending = Some(self.scratch.clone());
+        Ok(self.scratch.clone())
     }
 
     /// Records the user's accept/reject answers for the pending
@@ -356,11 +391,11 @@ impl ArrangementService {
     /// [`ServiceError::NoPendingProposal`] or
     /// [`ServiceError::FeedbackLengthMismatch`].
     pub fn feedback(&mut self, accepted: &[bool]) -> Result<u32, ServiceError> {
-        let (arrangement, contexts) = self.pending.take().ok_or(ServiceError::NoPendingProposal)?;
+        let arrangement = self.pending.take().ok_or(ServiceError::NoPendingProposal)?;
         if accepted.len() != arrangement.len() {
             // Restore the pending state: the caller may retry correctly.
             let expected = arrangement.len();
-            self.pending = Some((arrangement, contexts));
+            self.pending = Some(arrangement);
             return Err(ServiceError::FeedbackLengthMismatch {
                 expected,
                 got: accepted.len(),
@@ -373,7 +408,11 @@ impl ArrangementService {
                 self.remaining[v.index()] -= 1;
             }
         }
-        self.policy.observe(self.t, &contexts, &arrangement, &fb);
+        self.policy
+            .observe(self.t, &self.pending_contexts, &arrangement, &fb);
+        for v in arrangement.iter() {
+            self.pending_contexts.context_mut(v).fill(0.0);
+        }
         // An observe over a non-empty arrangement updates learner state,
         // so any score set stashed by `Policy::prefetch_scores` before
         // this point is now stale. Empty arrangements are no-ops for
@@ -556,6 +595,71 @@ mod tests {
         svc.install_oracle(None);
         let a = svc.propose(&arrival(3, 2)).unwrap();
         svc.feedback(&vec![false; a.len()]).unwrap();
+    }
+
+    /// A service that is sent a NaN-carrying round (refused) and one
+    /// that never sees it must stay in lockstep: the refusal happens
+    /// before `select`, so not even a sampling policy's RNG moves.
+    fn assert_non_finite_round_leaves_no_trace(make: impl Fn() -> Box<dyn Policy>) {
+        let n = 6;
+        let instance =
+            || ProblemInstance::new(vec![50; n], ConflictGraph::new(n), 2, ProblemMode::Fasea);
+        let mut refused = ArrangementService::new(instance(), make());
+        let mut clean = ArrangementService::new(instance(), make());
+        for round in 0..12 {
+            if round == 4 || round == 9 {
+                let mut bad = arrival(n, 2);
+                let poison = if round == 4 { f64::NAN } else { f64::INFINITY };
+                bad.contexts.context_mut(EventId(3))[1] = poison;
+                assert_eq!(
+                    refused.propose(&bad),
+                    Err(ServiceError::ContextShapeMismatch)
+                );
+                assert!(!refused.has_pending());
+            }
+            let user = arrival(n, 2);
+            let a = refused.propose(&user).unwrap();
+            assert_eq!(a, clean.propose(&user).unwrap(), "round {round} diverged");
+            let fb: Vec<bool> = a.iter().map(|v| v.index() % 2 == 0).collect();
+            refused.feedback(&fb).unwrap();
+            clean.feedback(&fb).unwrap();
+        }
+        assert_eq!(refused.policy().save_state(), clean.policy().save_state());
+        assert_eq!(refused.accounting(), clean.accounting());
+        assert_eq!(refused.rounds_completed(), 12);
+    }
+
+    #[test]
+    fn non_finite_contexts_are_refused_before_select() {
+        assert_non_finite_round_leaves_no_trace(|| Box::new(LinUcb::new(2, 1.0, 2.0)));
+        assert_non_finite_round_leaves_no_trace(|| {
+            Box::new(fasea_bandit::ThompsonSampling::new(2, 1.0, 0.1, 7))
+        });
+    }
+
+    #[test]
+    fn pending_block_holds_only_the_arranged_rows() {
+        let mut svc = service(vec![5, 5, 5, 5]);
+        let user = arrival(4, 2);
+        let a = svc.propose(&user).unwrap();
+        let (pending, block) = svc.pending().unwrap();
+        assert_eq!(pending, &a);
+        for v in 0..4 {
+            let v = EventId(v);
+            let want: &[f64] = if a.contains(v) {
+                user.contexts.context(v)
+            } else {
+                &[0.0, 0.0]
+            };
+            assert_eq!(block.context(v), want);
+        }
+        svc.feedback(&vec![true; a.len()]).unwrap();
+        // Reused for the next round, with the previous rows cleared.
+        let b = svc.propose(&arrival(4, 1)).unwrap();
+        let (_, block) = svc.pending().unwrap();
+        for v in (0..4).map(EventId).filter(|&v| !b.contains(v)) {
+            assert_eq!(block.context(v), &[0.0, 0.0]);
+        }
     }
 
     #[test]

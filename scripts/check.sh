@@ -34,6 +34,14 @@ cargo bench -q --no-run
 echo "==> scoring_hot_path smoke (FASEA_BENCH_MS=25)"
 FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench scoring_hot_path
 
+# Pruned UCB scoring against the full kernel: identical arrangements
+# and bit-equal exact entries over hostile rows, score ties, three α
+# values, widening and `k = n` fallbacks, and a horizon past the
+# estimator's 4096-update Y⁻¹ refresh — in release, the build the
+# benchmark measures.
+echo "==> pruned-equals-full UCB scoring (release)"
+cargo test -q --release -p fasea-bandit --test batched_equivalence pruned
+
 # Golden determinism through the parallel engine: a run with a 4-thread
 # ScorePool forced into every policy must land on the identical golden
 # totals as one forced serial.

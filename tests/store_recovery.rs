@@ -23,10 +23,14 @@
 //!    pipeline must write a log byte-identical to the direct run's,
 //!    recover byte-identically from every prefix, and never lose a
 //!    round whose feedback acknowledgement was released.
+//! 5. **Round edges** — a snapshot taken with a proposal pending (whose
+//!    context block keeps only the arranged rows), and a non-finite
+//!    context refused before anything is logged; both reopen to the
+//!    uninterrupted run's digest.
 
 use fasea::bandit::{Policy, ThompsonSampling};
 use fasea::core::{
-    Arrangement, ConflictGraph, ContextMatrix, ProblemInstance, ProblemMode, UserArrival,
+    Arrangement, ConflictGraph, ContextMatrix, EventId, ProblemInstance, ProblemMode, UserArrival,
 };
 use fasea::sim::DurableOptions;
 use fasea::store::{wal, FaultFile, StoreError};
@@ -671,6 +675,92 @@ fn golden_crashed_run_matches_uninterrupted_run_exactly() {
     // Byte-identical regret accounting *and* policy state: the crashed
     // run is indistinguishable from the uninterrupted one.
     assert_eq!(crashed, reference);
+    fs::remove_dir_all(&dir_a).unwrap();
+    fs::remove_dir_all(&dir_b).unwrap();
+}
+
+#[test]
+fn snapshot_with_a_pending_proposal_recovers_exactly() {
+    // The service keeps only the arranged rows of a pending proposal's
+    // context block; a snapshot taken mid-round must still carry what
+    // the round's feedback needs to update the learner identically.
+    const ROUNDS: u64 = 120;
+    let opts = DurableOptions::new().with_fsync(FsyncPolicy::EveryN(8));
+
+    let dir_a = tmp("pending-snap-a");
+    let _ = fs::remove_dir_all(&dir_a);
+    let reference = {
+        let mut svc = DurableArrangementService::open(&dir_a, instance(), policy(), opts).unwrap();
+        run_rounds(&mut svc, ROUNDS);
+        digest(&svc)
+    };
+
+    let dir_b = tmp("pending-snap-b");
+    let _ = fs::remove_dir_all(&dir_b);
+    let at_crash = {
+        let mut svc = DurableArrangementService::open(&dir_b, instance(), policy(), opts).unwrap();
+        run_rounds(&mut svc, 57);
+        let a = svc.propose(&arrival(57)).unwrap();
+        svc.snapshot().unwrap();
+        let (pending, block) = svc.service().pending().unwrap();
+        assert_eq!(pending, &a);
+        for v in (0..NUM_EVENTS).map(EventId).filter(|&v| !a.contains(v)) {
+            assert!(block.context(v).iter().all(|&x| x == 0.0));
+        }
+        digest(&svc)
+        // Crash: dropped with round 57 outstanding, just after the
+        // snapshot that covers it.
+    };
+    let mut svc = DurableArrangementService::open(&dir_b, instance(), policy(), opts).unwrap();
+    assert_eq!(digest(&svc), at_crash);
+    assert!(
+        svc.has_pending(),
+        "the snapshot's pending round must be restored"
+    );
+    run_rounds(&mut svc, ROUNDS);
+    assert_eq!(digest(&svc), reference);
+    drop(svc);
+    fs::remove_dir_all(&dir_a).unwrap();
+    fs::remove_dir_all(&dir_b).unwrap();
+}
+
+#[test]
+fn non_finite_context_is_refused_and_logs_nothing() {
+    // A NaN used to pass `propose`, reach the log, and panic in the
+    // estimator at feedback — and again on every replay. It must now be
+    // refused before `select`: nothing logged, no RNG drawn, the next
+    // round proceeds, and a reopen recovers byte-identically.
+    const ROUNDS: u64 = 60;
+    let opts = DurableOptions::new().with_fsync(FsyncPolicy::EveryN(8));
+
+    let dir_a = tmp("nonfinite-a");
+    let _ = fs::remove_dir_all(&dir_a);
+    let reference = {
+        let mut svc = DurableArrangementService::open(&dir_a, instance(), policy(), opts).unwrap();
+        run_rounds(&mut svc, ROUNDS);
+        digest(&svc)
+    };
+
+    let dir_b = tmp("nonfinite-b");
+    let _ = fs::remove_dir_all(&dir_b);
+    let before_drop = {
+        let mut svc = DurableArrangementService::open(&dir_b, instance(), policy(), opts).unwrap();
+        run_rounds(&mut svc, 25);
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = arrival(25);
+            bad.contexts.context_mut(EventId(4))[1] = poison;
+            let seq = svc.next_seq();
+            assert_eq!(svc.propose(&bad), Err(ServiceError::ContextShapeMismatch));
+            assert_eq!(svc.next_seq(), seq, "a refused round must log nothing");
+            assert!(!svc.has_pending());
+        }
+        run_rounds(&mut svc, ROUNDS);
+        digest(&svc)
+    };
+    assert_eq!(before_drop, reference);
+    let svc = DurableArrangementService::open(&dir_b, instance(), policy(), opts).unwrap();
+    assert_eq!(digest(&svc), reference);
+    drop(svc);
     fs::remove_dir_all(&dir_a).unwrap();
     fs::remove_dir_all(&dir_b).unwrap();
 }
