@@ -44,7 +44,6 @@ pub(crate) fn greedy(
         &mut order,
         &mut mask,
         &mut arrangement,
-        usize::MAX,
     );
     arrangement
 }
@@ -62,15 +61,6 @@ pub(crate) fn greedy(
 /// # Panics
 /// Panics if `scores.len()`, the conflict graph and `remaining` disagree
 /// on `|V|`.
-///
-/// `max_k` caps how far the ranked prefix may grow: once a prefix of
-/// `max_k` events ran dry short of `n`, the call stops and returns
-/// `false` (with `out` holding that prefix's partial arrangement)
-/// instead of ranking further. Pass `usize::MAX` for Algorithm 2 in
-/// full, which always returns `true`. A pruned UCB round passes the
-/// initial prefix [`initial_prefix`]: its exact scores certify only
-/// that prefix (see `crate::prune`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_into(
     scores: &[f64],
     conflicts: &ConflictGraph,
@@ -79,14 +69,13 @@ pub(crate) fn greedy_into(
     order: &mut Vec<u32>,
     mask: &mut Vec<u64>,
     out: &mut Arrangement,
-    max_k: usize,
-) -> bool {
+) {
     let n = scores.len();
     assert_eq!(n, conflicts.num_events(), "oracle_greedy: |V| mismatch");
     assert_eq!(n, remaining.len(), "oracle_greedy: capacity slice mismatch");
     out.clear();
     if user_capacity == 0 || n == 0 {
-        return true;
+        return;
     }
     // Rank events by score, descending; ties by index ascending. The
     // index tiebreak makes this a total order with every pair
@@ -130,15 +119,55 @@ pub(crate) fn greedy_into(
 
         greedy_scan(order, conflicts, remaining, user_capacity, mask, out);
         if out.len() >= user_capacity as usize || k == n {
-            return true;
-        }
-        if k >= max_k {
-            return false;
+            return;
         }
         // The prefix ran dry before the arrangement filled: rank a
         // larger prefix and redo the (cheap) greedy scan from scratch.
         k = k.saturating_mul(4).min(n);
     }
+}
+
+/// Oracle-Greedy's first pass over a pruned round's exact set: the
+/// initial prefix ([`initial_prefix`]) ranked from `candidates` alone,
+/// then the greedy scan. Returns `true` with the arrangement
+/// [`greedy_into`] gives, or `false` when that prefix runs dry short of
+/// `c_u` (`out` then holds its partial arrangement, and the caller
+/// completes the scores and runs [`greedy_into`]).
+///
+/// The caller guarantees that `candidates` (any order, no duplicates)
+/// holds at least `k` events and that every other event ranks below
+/// the k-th best of them — as a pruned round's `-∞` entries rank below
+/// its k-th best exact score, which is above `-∞`. The index tiebreak
+/// makes the ranking a strict total order, so the top `k` of the list
+/// is then the top `k` of the whole vector, in the same order, and
+/// ranking `|candidates|` events instead of `|V|` changes nothing but
+/// the cost.
+///
+/// # Panics
+/// Panics if `scores.len()`, the conflict graph and `remaining` disagree
+/// on `|V|`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn greedy_prefix_into(
+    scores: &[f64],
+    candidates: &[u32],
+    conflicts: &ConflictGraph,
+    remaining: &[u32],
+    user_capacity: u32,
+    order: &mut Vec<u32>,
+    mask: &mut Vec<u64>,
+    out: &mut Arrangement,
+) -> bool {
+    let n = scores.len();
+    assert_eq!(n, conflicts.num_events(), "oracle_greedy: |V| mismatch");
+    assert_eq!(n, remaining.len(), "oracle_greedy: capacity slice mismatch");
+    let k = initial_prefix(n, user_capacity);
+    debug_assert!(
+        candidates.len() >= k,
+        "greedy_prefix_into: too few candidates"
+    );
+    subset_top_k(scores, candidates, k, order);
+    greedy_scan(order, conflicts, remaining, user_capacity, mask, out);
+    out.len() >= user_capacity as usize
 }
 
 /// The ranked prefix Oracle-Greedy starts from: `max(32, 4·c_u)`
@@ -606,19 +635,67 @@ mod tests {
         let mut order = Vec::new();
         let mut mask = Vec::new();
         let mut out = Arrangement::empty();
-        greedy_into(
-            &scores,
-            &g,
-            &remaining,
-            cu,
-            &mut order,
-            &mut mask,
-            &mut out,
-            usize::MAX,
-        );
+        greedy_into(&scores, &g, &remaining, cu, &mut order, &mut mask, &mut out);
         let expected: Vec<usize> = (150..155).collect();
         assert_eq!(ids(&out), expected);
         assert_eq!(out, greedy(&scores, &g, &remaining, cu));
+    }
+
+    #[test]
+    fn ranking_the_candidates_equals_ranking_the_full_vector() {
+        // 60 candidates listed out of index order, 15 at each of four
+        // scores so the k-th score is tied across the cut (broken by
+        // index); every other entry is -∞, as after a pruned round.
+        let n = 400usize;
+        let mut cands: Vec<u32> = (0..60).map(|i| (i * 37 % n) as u32).collect();
+        cands.sort_unstable_by_key(|&v| (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut scores = vec![f64::NEG_INFINITY; n];
+        for (j, &v) in cands.iter().enumerate() {
+            scores[v as usize] = (j % 4) as f64 - 2.0;
+        }
+        let pairs: Vec<(usize, usize)> = cands
+            .windows(2)
+            .step_by(3)
+            .map(|w| (w[0] as usize, w[1] as usize))
+            .collect();
+        let g = ConflictGraph::from_pairs(n, &pairs);
+        let all: Vec<u32> = (0..n as u32).collect();
+        // k = 32, 48 and 60 (every candidate).
+        for cu in [1u32, 3, 8, 12, 15] {
+            let k = initial_prefix(n, cu);
+            let mut full_order = Vec::new();
+            subset_top_k(&scores, &all, k, &mut full_order);
+            if k < cands.len() {
+                let kth = scores[full_order[k - 1] as usize];
+                assert!(
+                    cands
+                        .iter()
+                        .any(|&v| scores[v as usize] == kth && !full_order.contains(&v)),
+                    "cu={cu}: the cut must split a tie"
+                );
+            }
+            for dry in [false, true] {
+                // All open, or every candidate above the lowest score
+                // sold out, so the prefix runs dry.
+                let remaining: Vec<u32> = (0..n)
+                    .map(|v| u32::from(!dry || scores[v] < -1.0))
+                    .collect();
+                let (mut order, mut mask) = (Vec::new(), Vec::new());
+                let mut out = Arrangement::empty();
+                let done = greedy_prefix_into(
+                    &scores, &cands, &g, &remaining, cu, &mut order, &mut mask, &mut out,
+                );
+                assert_eq!(order, full_order, "cu={cu} dry={dry}");
+                if done {
+                    assert_eq!(out, greedy(&scores, &g, &remaining, cu), "cu={cu}");
+                }
+                assert!(done || dry, "cu={cu}: an open prefix fills");
+                assert!(
+                    !done || !dry || k == cands.len(),
+                    "cu={cu}: the prefix runs dry"
+                );
+            }
+        }
     }
 
     /// Drives the dist oracle over `shards` disjoint member lists
@@ -726,16 +803,7 @@ mod tests {
         let mut order = Vec::new();
         let mut mask = Vec::new();
         let mut out = Arrangement::empty();
-        greedy_into(
-            &scores,
-            &g,
-            &remaining,
-            cu,
-            &mut order,
-            &mut mask,
-            &mut out,
-            usize::MAX,
-        );
+        greedy_into(&scores, &g, &remaining, cu, &mut order, &mut mask, &mut out);
         // Event 0 first, then the best non-conflicting ones: 61, 62, 63.
         assert_eq!(ids(&out), vec![0, 61, 62, 63]);
         assert_eq!(out, greedy(&scores, &g, &remaining, cu));

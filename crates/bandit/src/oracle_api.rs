@@ -194,7 +194,6 @@ impl Oracle for GreedyOracle {
             &mut ws.order,
             &mut ws.mask,
             out,
-            usize::MAX,
         );
     }
 

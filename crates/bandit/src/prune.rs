@@ -30,6 +30,9 @@ pub(crate) const PRUNE_MIN_EVENTS: usize = 1024;
 /// so the k-th exact score tightens often.
 const BATCH: usize = 32;
 
+/// Bounds per block of the top-k pass.
+const TOP_BLOCK: usize = 16;
+
 /// Relative margin on each upper bound, `2⁻⁴⁶ = 128` units of roundoff:
 /// it covers the rounding of the exact score's last two operations and
 /// of the bound's own arithmetic (DESIGN.md §10 derives `≤ 8u`).
@@ -125,7 +128,12 @@ pub(crate) struct PruneScratch {
     sq: Vec<f64>,
     /// The `k` largest bounds, best first.
     top: Vec<u32>,
-    /// Events whose bound reaches the k-th exact score.
+    /// Their bounds.
+    top_ub: Vec<f64>,
+    /// Largest bound per block of [`TOP_BLOCK`].
+    block_max: Vec<f64>,
+    /// Events whose bound reaches the k-th exact score; after a pruned
+    /// round, every event scored exactly.
     cand: Vec<u32>,
     /// Gathered context rows of one batch.
     rows: Vec<f64>,
@@ -158,9 +166,21 @@ impl PruneScratch {
         self.skip = self.backoff;
     }
 
+    /// The events the last pruned round scored exactly, best bound
+    /// first. Every other entry of its score vector is `-∞`, below all
+    /// of theirs.
+    pub(crate) fn exact_ids(&self) -> &[u32] {
+        &self.cand
+    }
+
     /// Bytes held by the scratch buffers.
     pub(crate) fn state_bytes(&self) -> usize {
-        (self.ub.len() + self.sq.len() + self.rows.len() + self.best.len())
+        (self.ub.len()
+            + self.sq.len()
+            + self.top_ub.len()
+            + self.block_max.len()
+            + self.rows.len()
+            + self.best.len())
             * std::mem::size_of::<f64>()
             + (self.top.len() + self.cand.len()) * std::mem::size_of::<u32>()
             + self.model.state_bytes()
@@ -188,6 +208,70 @@ fn gershgorin(m: &Matrix) -> f64 {
     g * (1.0 + 4.0 * (d as f64 + 4.0) * f64::EPSILON)
 }
 
+/// The `k` largest of `ub` (no NaN) into `top`, best first, ties to
+/// the lower id — the order Oracle-Greedy ranks in — with their bounds
+/// in `top_ub`.
+///
+/// A bounded insertion in id order, against the k-th bound held so far
+/// (`floor`); a [`TOP_BLOCK`] of bounds none of which beats it is
+/// skipped in one test. Before `k` are held, bounds below `lo` are
+/// skipped the same way: `lo`, the k-th largest block maximum, is a
+/// floor no top-k bound is below (k blocks each hold a bound at least
+/// that large), so few bounds are ever inserted.
+fn top_bounds(
+    ub: &[f64],
+    k: usize,
+    block_max: &mut Vec<f64>,
+    top: &mut Vec<u32>,
+    top_ub: &mut Vec<f64>,
+) {
+    top.clear();
+    top_ub.clear();
+    if k == 0 {
+        return;
+    }
+    block_max.clear();
+    block_max.extend(ub.chunks(TOP_BLOCK).map(|b| {
+        b.iter()
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m })
+    }));
+    let lo = if block_max.len() >= k {
+        *block_max
+            .select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a))
+            .1
+    } else {
+        f64::NEG_INFINITY
+    };
+    let mut floor = f64::NEG_INFINITY;
+    for (c, block) in ub.chunks(TOP_BLOCK).enumerate() {
+        let hit = if top.len() == k {
+            block.iter().fold(false, |hit, &b| hit | (b > floor))
+        } else {
+            block.iter().fold(false, |hit, &b| hit | (b >= lo))
+        };
+        if !hit {
+            continue;
+        }
+        for (i, &b) in block.iter().enumerate() {
+            if top.len() == k {
+                if b <= floor {
+                    continue;
+                }
+                top.pop();
+                top_ub.pop();
+            } else if b < lo {
+                continue;
+            }
+            let pos = top_ub.partition_point(|&o| o >= b);
+            top.insert(pos, (c * TOP_BLOCK + i) as u32);
+            top_ub.insert(pos, b);
+            if top.len() == k {
+                floor = top_ub[k - 1];
+            }
+        }
+    }
+}
+
 /// Scores a pruned UCB round of `view` into `scores`/`widths`:
 /// exact entries for every event that can rank in Oracle-Greedy's
 /// initial prefix, `-∞` for the rest (below every exact entry). Returns
@@ -213,6 +297,8 @@ pub(crate) fn score_pruned(
         ub,
         sq,
         top,
+        top_ub,
+        block_max,
         cand,
         rows,
         best,
@@ -226,24 +312,15 @@ pub(crate) fn score_pruned(
     ub.resize(n, 0.0);
     sq.resize(n, 0.0);
     dots_and_sq_norms_into(contexts.as_slice(), d, theta, ub, sq);
-    top.clear();
-    for v in 0..n {
-        let p = ub[v];
-        let a = alpha * (lambda * sq[v]).sqrt();
-        let mut b = (p + a) + (MARGIN_REL * (p.abs() + a) + abs_margin);
-        if b.is_nan() {
-            b = f64::INFINITY;
-        }
-        ub[v] = b;
-        if top.len() == k {
-            if b <= ub[top[k - 1] as usize] {
-                continue;
-            }
-            top.pop();
-        }
-        let pos = top.partition_point(|&o| ub[o as usize] >= b);
-        top.insert(pos, v as u32);
+    // The bounds in a branch-free loop the compiler vectorises…
+    for (u, &q) in ub.iter_mut().zip(sq.iter()) {
+        let p = *u;
+        let a = alpha * (lambda * q).sqrt();
+        let b = (p + a) + (MARGIN_REL * (p.abs() + a) + abs_margin);
+        *u = if b.is_nan() { f64::INFINITY } else { b };
     }
+    // …then the k largest.
+    top_bounds(ub, k, block_max, top, top_ub);
 
     scores.clear();
     scores.resize(n, f64::NEG_INFINITY);
@@ -292,6 +369,12 @@ pub(crate) fn score_pruned(
         }
         done += run;
     }
+    // Keep the exact set for the oracle, best bound first — the top k,
+    // then the scored candidates — so its ranking fills with likely
+    // winners early (`cand` has room: it never holds a top-k id).
+    cand.truncate(done);
+    cand.extend_from_slice(top);
+    cand.rotate_right(top.len());
     Some(k + done)
 }
 
@@ -346,5 +429,47 @@ impl Exact<'_> {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn top_bounds_equals_a_full_sort_with_ties_to_the_lower_id() {
+        let reference = |ub: &[f64], k: usize| {
+            let mut all: Vec<u32> = (0..ub.len() as u32).collect();
+            all.sort_by(|&a, &b| {
+                ub[b as usize]
+                    .partial_cmp(&ub[a as usize])
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            all.truncate(k);
+            all
+        };
+        let (mut block_max, mut top, mut top_ub) = (Vec::new(), Vec::new(), Vec::new());
+        for n in [0usize, 1, 15, 16, 17, 100, 1000, 1031] {
+            for levels in [2u64, 7, 1 << 40] {
+                // Few distinct values, so ties straddle the k-th bound;
+                // ±0 compare equal, +∞ stands for a NaN bound.
+                let ub: Vec<f64> = (0..n as u64)
+                    .map(
+                        |i| match (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20) % levels {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::INFINITY,
+                            h => h as f64 - 1e3,
+                        },
+                    )
+                    .collect();
+                for k in [0usize, 1, 5, 32, 64, n] {
+                    top_bounds(&ub, k.min(n), &mut block_max, &mut top, &mut top_ub);
+                    assert_eq!(top, reference(&ub, k.min(n)), "n={n} levels={levels} k={k}");
+                    assert!(top.iter().zip(&top_ub).all(|(&v, &b)| ub[v as usize] == b));
+                }
+            }
+        }
     }
 }

@@ -618,25 +618,27 @@ impl ScoreWorkspace {
     /// [`crate::GreedyOracle`] path.
     ///
     /// After a pruned round, Oracle-Greedy first arranges from the
-    /// initial ranked prefix alone, which the exact set certifies. When
-    /// that prefix runs dry, or another engine is installed, the round
-    /// is completed first ([`ScoreWorkspace::complete_scores`] on
-    /// `view.contexts`) and arranged from the full vector.
+    /// initial ranked prefix alone, which the exact set certifies, and
+    /// ranks only the exactly scored events for it (every other entry
+    /// is `-∞`, below all of them). When that prefix runs dry, or
+    /// another engine is installed, the round is completed first
+    /// ([`ScoreWorkspace::complete_scores`] on `view.contexts`) and
+    /// arranged from the full vector.
     pub fn arrange_into(&mut self, view: &SelectionView<'_>, out: &mut Arrangement) {
         if self.pruned {
             let greedy =
                 self.arranger.is_none() && self.oracle.as_ref().is_none_or(|o| o.is_greedy());
             let OracleWorkspace { order, mask, .. } = &mut self.oracle_ws;
             if greedy
-                && crate::oracle::greedy_into(
+                && crate::oracle::greedy_prefix_into(
                     &self.scores,
+                    self.prune.exact_ids(),
                     view.conflicts,
                     view.remaining,
                     view.user_capacity,
                     order,
                     mask,
                     out,
-                    crate::oracle::initial_prefix(self.scores.len(), view.user_capacity),
                 )
             {
                 return;

@@ -124,24 +124,88 @@ impl ContextMatrix {
         })
     }
 
-    /// `true` if every entry is finite.
+    /// `true` if every entry is finite (no NaN, no ±∞).
+    ///
+    /// The arrangement service runs this on every proposal, where it is
+    /// usually the first touch of a fresh block, so it is written to run
+    /// at memory speed: a branch-free integer fold with no early exit.
+    /// With AVX2 (detected at run time) it folds 8 entries per step and
+    /// prefetches 8 KiB ahead, because the hardware prefetcher stops at
+    /// each 4 KiB page; the tail and hosts without AVX2 take the scalar
+    /// fold. Both give the same verdict.
     pub fn is_finite(&self) -> bool {
-        // Adding one exponent ulp to the masked exponent carries into
-        // the sign bit exactly when the exponent is all ones (±∞, NaN).
-        // An integer OR-fold has no early exit and reassociates freely,
-        // so the scan vectorises: it runs on every served proposal.
-        const EXP: u64 = 0x7FF0_0000_0000_0000;
-        let carried = self
-            .data
-            .iter()
-            .fold(0u64, |acc, x| acc | ((x.to_bits() & EXP) + (1 << 52)));
-        carried >> 63 == 0
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 availability was just detected.
+            return unsafe { all_finite_avx2(&self.data) };
+        }
+        all_finite_scalar(&self.data)
     }
 
     /// Raw row-major data (used by memory accounting).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
+}
+
+/// Exponent bits of an `f64`.
+const EXP_MASK: u64 = 0x7FF0_0000_0000_0000;
+
+/// One exponent ulp: added to the masked exponent it carries into the
+/// sign bit exactly when the exponent is all ones (±∞, NaN).
+const EXP_ULP: u64 = 1 << 52;
+
+/// Scalar body of [`ContextMatrix::is_finite`]: an OR-fold of the
+/// exponent carries, which reassociates freely and so vectorises.
+fn all_finite_scalar(data: &[f64]) -> bool {
+    let carried = data
+        .iter()
+        .fold(0u64, |acc, x| acc | ((x.to_bits() & EXP_MASK) + EXP_ULP));
+    carried >> 63 == 0
+}
+
+/// Entries ahead of the current step that the AVX2 body prefetches:
+/// 8 KiB, two pages past the one being read.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH_AHEAD: usize = 1024;
+
+/// AVX2 body of [`ContextMatrix::is_finite`]: the same carry test, 8
+/// entries (one cache line's worth) per step in two 4-lane
+/// accumulators, one prefetch per step while the block reaches that
+/// far; the tail goes through [`all_finite_scalar`].
+///
+/// # Safety
+/// The caller must ensure AVX2 is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn all_finite_avx2(data: &[f64]) -> bool {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_castsi256_pd, _mm256_loadu_si256,
+        _mm256_movemask_pd, _mm256_or_si256, _mm256_set1_epi64x, _mm256_setzero_si256,
+        _mm_prefetch, _MM_HINT_T0,
+    };
+    let mask = _mm256_set1_epi64x(EXP_MASK as i64);
+    let ulp = _mm256_set1_epi64x(EXP_ULP as i64);
+    let (mut acc0, mut acc1) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+    let steps = data.len() / 8;
+    // Prefetch only inside the block: past its end a prefetch would pull
+    // unrelated lines into the cache (a block under 8 KiB gets none).
+    let prefetched = data.len().saturating_sub(PREFETCH_AHEAD) / 8;
+    let p = data.as_ptr();
+    for i in 0..steps {
+        // In bounds: `8 * i + 8 <= steps * 8 <= data.len()`, and for a
+        // prefetched step `8 * i + PREFETCH_AHEAD <= data.len()`.
+        let at = p.add(8 * i);
+        if i < prefetched {
+            _mm_prefetch::<_MM_HINT_T0>(at.add(PREFETCH_AHEAD).cast());
+        }
+        let a = _mm256_loadu_si256(at.cast::<__m256i>());
+        let b = _mm256_loadu_si256(at.add(4).cast::<__m256i>());
+        acc0 = _mm256_or_si256(acc0, _mm256_add_epi64(_mm256_and_si256(a, mask), ulp));
+        acc1 = _mm256_or_si256(acc1, _mm256_add_epi64(_mm256_and_si256(b, mask), ulp));
+    }
+    let signs = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(acc0, acc1)));
+    signs == 0 && all_finite_scalar(&data[steps * 8..])
 }
 
 #[cfg(test)]
@@ -177,6 +241,57 @@ mod tests {
             }
         }
         assert!(ContextMatrix::zeros(0, 3).is_finite());
+    }
+
+    /// Both kernels' verdicts on `data`, checked against `expect`.
+    fn assert_verdicts(data: &[f64], expect: bool, what: &str) {
+        assert_eq!(all_finite_scalar(data), expect, "scalar: {what}");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 availability was just detected.
+            assert_eq!(unsafe { all_finite_avx2(data) }, expect, "avx2: {what}");
+        }
+    }
+
+    const BAD: [f64; 5] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        // A signalling NaN: only the lowest mantissa bit set.
+        f64::from_bits(0x7FF0_0000_0000_0001),
+    ];
+
+    #[test]
+    fn finiteness_kernels_agree_at_every_length_and_position() {
+        for len in 0..=80usize {
+            let mut data: Vec<f64> = (0..len).map(|i| f64::MAX / (i + 1) as f64).collect();
+            assert_verdicts(&data, true, &format!("len {len}, all finite"));
+            for &bad in &BAD {
+                for pos in 0..len {
+                    let keep = std::mem::replace(&mut data[pos], bad);
+                    assert_verdicts(&data, false, &format!("len {len}, {bad} at {pos}"));
+                    data[pos] = keep;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finiteness_kernels_see_the_end_of_a_block_past_the_prefetch_distance() {
+        // Three prefetch distances (1024 entries each) plus a 5-entry
+        // tail.
+        let len = 3 * 1024 + 5;
+        let vector_end = len / 8 * 8;
+        let mut data = vec![-0.5; len];
+        assert_verdicts(&data, true, "all finite");
+        for &bad in &BAD {
+            for pos in (vector_end - 8..len).chain([0, 1023, 1024]) {
+                let keep = std::mem::replace(&mut data[pos], bad);
+                assert_verdicts(&data, false, &format!("{bad} at {pos} of {len}"));
+                data[pos] = keep;
+            }
+        }
     }
 
     #[test]

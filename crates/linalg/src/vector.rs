@@ -186,9 +186,10 @@ pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
 /// event of a round.
 ///
 /// [`dot_slices`]' four partial sums are the four lanes of one 256-bit
-/// register, so with AVX a row's two dots run as explicit 4-wide
-/// `mul`/`add` (never FMA) with the same left-to-right combine and
-/// scalar tail; elsewhere each row calls [`dot_slices`] twice.
+/// register, so with AVX the dots of four rows at a time run as explicit
+/// 4-wide `mul`/`add` (never FMA), with the same left-to-right combine
+/// and scalar tail; the last `n mod 4` rows, and hosts without AVX,
+/// call [`dot_slices`] twice per row.
 ///
 /// # Panics
 /// Panics if `xs` is not a whole number of `dim`-rows, `y.len() != dim`,
@@ -216,19 +217,29 @@ pub fn dots_and_sq_norms_into(
         "dots_and_sq_norms_into: norms length"
     );
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
+    let done = if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: AVX availability was just detected, and the shapes are
         // asserted above.
-        unsafe { dots_and_sq_norms_avx(xs, dim, y, dots, sq_norms) };
-        return;
-    }
-    for ((x, d), q) in xs.chunks_exact(dim).zip(dots).zip(sq_norms) {
+        unsafe { dots_and_sq_norms_avx(xs, dim, y, dots, sq_norms) }
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for ((x, d), q) in xs[done * dim..]
+        .chunks_exact(dim)
+        .zip(&mut dots[done..])
+        .zip(&mut sq_norms[done..])
+    {
         *d = dot_slices(x, y);
         *q = dot_slices(x, x);
     }
 }
 
-/// AVX body of [`dots_and_sq_norms_into`].
+/// AVX body of [`dots_and_sq_norms_into`] over the first `4·⌊n/4⌋`
+/// rows, four at a time, whose eight accumulators are reduced together
+/// by a 4×4 transpose, so the four lanes of each row still combine as
+/// `((l0 + l1) + l2) + l3`. Returns the number of rows done.
 ///
 /// # Safety
 /// The caller must ensure AVX is available and the shapes
@@ -241,33 +252,57 @@ unsafe fn dots_and_sq_norms_avx(
     y: &[f64],
     dots: &mut [f64],
     sq_norms: &mut [f64],
-) {
+) -> usize {
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        __m256d, _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
     };
+    /// Lane `j` of the result sums the lanes of `a[j]` as
+    /// `((l0 + l1) + l2) + l3`.
+    ///
+    /// # Safety
+    /// The caller must ensure AVX is available.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn reduce4(a: [__m256d; 4]) -> __m256d {
+        let t0 = _mm256_unpacklo_pd(a[0], a[1]);
+        let t1 = _mm256_unpackhi_pd(a[0], a[1]);
+        let t2 = _mm256_unpacklo_pd(a[2], a[3]);
+        let t3 = _mm256_unpackhi_pd(a[2], a[3]);
+        let l0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
+        let l1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
+        let l2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
+        let l3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
+        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(l0, l1), l2), l3)
+    }
     let chunks = dim / 4;
     let yp = y.as_ptr();
-    for ((x, d), q) in xs.chunks_exact(dim).zip(dots).zip(sq_norms) {
-        let xp = x.as_ptr();
-        let mut sd = _mm256_setzero_pd();
-        let mut sq = _mm256_setzero_pd();
+    let quads = dots.len() / 4;
+    for g in 0..quads {
+        let xp = xs.as_ptr().add(4 * g * dim);
+        let mut sd = [_mm256_setzero_pd(); 4];
+        let mut sq = [_mm256_setzero_pd(); 4];
+        // In bounds: row `4g + r < n`, and `4c + 4 <= dim` in each row.
         for c in 0..chunks {
-            let xv = _mm256_loadu_pd(xp.add(4 * c));
-            sd = _mm256_add_pd(sd, _mm256_mul_pd(xv, _mm256_loadu_pd(yp.add(4 * c))));
-            sq = _mm256_add_pd(sq, _mm256_mul_pd(xv, xv));
+            let yv = _mm256_loadu_pd(yp.add(4 * c));
+            for r in 0..4 {
+                let xv = _mm256_loadu_pd(xp.add(r * dim + 4 * c));
+                sd[r] = _mm256_add_pd(sd[r], _mm256_mul_pd(xv, yv));
+                sq[r] = _mm256_add_pd(sq[r], _mm256_mul_pd(xv, xv));
+            }
         }
-        let (mut ld, mut lq) = ([0.0f64; 4], [0.0f64; 4]);
-        _mm256_storeu_pd(ld.as_mut_ptr(), sd);
-        _mm256_storeu_pd(lq.as_mut_ptr(), sq);
-        let mut dot = ld[0] + ld[1] + ld[2] + ld[3];
-        let mut sqn = lq[0] + lq[1] + lq[2] + lq[3];
-        for j in chunks * 4..dim {
-            dot += x[j] * y[j];
-            sqn += x[j] * x[j];
+        let (d4, q4) = (&mut dots[4 * g..4 * g + 4], &mut sq_norms[4 * g..4 * g + 4]);
+        _mm256_storeu_pd(d4.as_mut_ptr(), reduce4(sd));
+        _mm256_storeu_pd(q4.as_mut_ptr(), reduce4(sq));
+        for r in 0..4 {
+            let x = &xs[(4 * g + r) * dim..(4 * g + r + 1) * dim];
+            for j in chunks * 4..dim {
+                d4[r] += x[j] * y[j];
+                q4[r] += x[j] * x[j];
+            }
         }
-        *d = dot;
-        *q = sqn;
     }
+    4 * quads
 }
 
 impl From<Vec<f64>> for Vector {
@@ -383,25 +418,43 @@ mod tests {
 
     #[test]
     fn batched_dots_and_norms_are_bit_identical_to_dot_slices() {
+        // Row kinds: generic, subnormal, ±0 and overflowing (±∞ and
+        // NaN out of finite inputs).
+        let row = |kind: usize, i: usize, dim: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|j| {
+                    let h = ((i * 31 + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                    let u = h as f64 / 9e15 - 0.4;
+                    match kind {
+                        0 => u,
+                        1 => u * 1e-310,
+                        2 => [0.0, -0.0][j % 2],
+                        _ => u.signum() * f64::MAX * (0.25 + u.abs() / 2.0),
+                    }
+                })
+                .collect()
+        };
         for dim in [1usize, 3, 4, 5, 8, 20, 23] {
-            let n = 37;
-            let xs: Vec<f64> = (0..n * dim)
-                .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / 9e15 - 0.4)
-                .collect();
             let y: Vec<f64> = (0..dim).map(|j| 0.7 - 0.13 * j as f64).collect();
-            let (mut dots, mut sq) = (vec![0.0; n], vec![0.0; n]);
-            dots_and_sq_norms_into(&xs, dim, &y, &mut dots, &mut sq);
-            for (i, x) in xs.chunks_exact(dim).enumerate() {
-                assert_eq!(
-                    dots[i].to_bits(),
-                    dot_slices(x, &y).to_bits(),
-                    "dim {dim} row {i}"
-                );
-                assert_eq!(
-                    sq[i].to_bits(),
-                    dot_slices(x, x).to_bits(),
-                    "dim {dim} row {i}"
-                );
+            for n in (0..=9).chain([37]) {
+                let xs: Vec<f64> = (0..n).flat_map(|i| row((i * 7 + n) % 4, i, dim)).collect();
+                let (mut dots, mut sq) = (vec![0.0; n], vec![0.0; n]);
+                dots_and_sq_norms_into(&xs, dim, &y, &mut dots, &mut sq);
+                for (i, x) in xs.chunks_exact(dim).enumerate() {
+                    if (i * 7 + n) % 4 == 3 {
+                        assert_eq!(sq[i], f64::INFINITY, "dim {dim} n {n} row {i}");
+                    }
+                    assert_eq!(
+                        dots[i].to_bits(),
+                        dot_slices(x, &y).to_bits(),
+                        "dim {dim} n {n} row {i}"
+                    );
+                    assert_eq!(
+                        sq[i].to_bits(),
+                        dot_slices(x, x).to_bits(),
+                        "dim {dim} n {n} row {i}"
+                    );
+                }
             }
         }
     }

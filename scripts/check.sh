@@ -42,6 +42,14 @@ FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench scoring_hot_path
 echo "==> pruned-equals-full UCB scoring (release)"
 cargo test -q --release -p fasea-bandit --test batched_equivalence pruned
 
+# The pruned round allocates nothing in steady state, in the build the
+# benchmark measures: the policy round alone, and a 5000×20
+# propose+feedback round through the service. The workspace step above
+# runs them unoptimised, and a root `cargo test -q` not at all.
+echo "==> zero-allocation pruned rounds (release)"
+cargo test -q --release -p fasea-bandit --test alloc_free
+cargo test -q --release -p fasea-sim --test service_alloc
+
 # Golden determinism through the parallel engine: a run with a 4-thread
 # ScorePool forced into every policy must land on the identical golden
 # totals as one forced serial.

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fasea::core::EventId;
-use fasea::serve::{ClientConfig, ServeClient, Server, ServerConfig, ServerHandle};
+use fasea::serve::{ClaimedRound, ClientConfig, ServeClient, Server, ServerConfig, ServerHandle};
 use fasea::sim::{ArrangementService, DurableOptions};
 use fasea::{DurableArrangementService, FsyncPolicy};
 use fasea_experiments::serve_cmd::WorkloadSpec;
@@ -78,14 +78,32 @@ fn start_server_depth(
     .unwrap()
 }
 
-/// Drives rounds over the wire until the server's counter reaches
-/// `rounds`; returns how many this session completed.
+fn connect(addr: &str) -> ServeClient {
+    ServeClient::connect(addr.to_string(), ClientConfig::default()).unwrap()
+}
+
+/// Drives rounds over a new session until the server's counter reaches
+/// `rounds`.
 fn drive(spec: &WorkloadSpec, addr: &str, rounds: u64, fed: &AtomicU64) {
+    drive_session(spec, connect(addr), None, rounds, fed);
+}
+
+/// Plays `held`, a round `client` has already claimed, if any; then
+/// claims and plays rounds until the server's counter reaches `rounds`.
+fn drive_session(
+    spec: &WorkloadSpec,
+    mut client: ServeClient,
+    mut held: Option<ClaimedRound>,
+    rounds: u64,
+    fed: &AtomicU64,
+) {
     let workload = spec.workload();
     let coins = spec.feedback_coins();
-    let mut client = ServeClient::connect(addr.to_string(), ClientConfig::default()).unwrap();
     loop {
-        let claimed = client.claim().unwrap();
+        let claimed = match held.take() {
+            Some(claimed) => claimed,
+            None => client.claim().unwrap(),
+        };
         if claimed.t >= rounds {
             client.release().unwrap();
             return;
@@ -211,9 +229,19 @@ fn pipelined_admission_matches_sequential_and_reports_stats() {
         let addr = handle.local_addr().to_string();
         let fed = AtomicU64::new(0);
 
+        // Overlap deterministically: one session holds round 0 while a
+        // second claims round 1, so a grant at depth 2 is always
+        // recorded; then both, and the other clients, drive to the end.
+        let (mut first, mut second) = (connect(&addr), connect(&addr));
+        let round0 = first.claim().unwrap();
+        let round1 = second.claim().unwrap();
+        assert_eq!((round0.t, round1.t), (0, 1), "{policy}: grant-ahead");
         std::thread::scope(|s| {
-            for _ in 0..CLIENTS {
-                s.spawn(|| drive(&spec, &addr, ROUNDS, &fed));
+            let (spec, fed) = (&spec, &fed);
+            s.spawn(move || drive_session(spec, first, Some(round0), ROUNDS, fed));
+            s.spawn(move || drive_session(spec, second, Some(round1), ROUNDS, fed));
+            for _ in 2..CLIENTS {
+                s.spawn(|| drive(spec, &addr, ROUNDS, fed));
             }
         });
         assert_eq!(fed.load(Ordering::Relaxed), ROUNDS, "every round fed once");
