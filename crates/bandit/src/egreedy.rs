@@ -67,8 +67,6 @@ impl Policy for EpsilonGreedy {
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
         // RNG draw order is durable state: one coin, then (explore only)
         // one priority per event — identical to the pre-batched path.
-        // Both draws stay serial on this thread; only the exploit
-        // branch's dot scan may fan out.
         let explore = self.rng.gen::<f64>() <= self.epsilon;
         if explore {
             self.exploration_rounds += 1;
@@ -77,9 +75,7 @@ impl Policy for EpsilonGreedy {
             }
         } else {
             let theta = self.estimator.theta_hat().as_slice();
-            ws.fill_scores(view, |range, s| {
-                crate::score_pool::dot_scores(view.contexts, theta, range, s)
-            });
+            crate::exploit::dot_scores(view.contexts, theta, ws.scores_mut(view.num_events()));
         }
     }
 

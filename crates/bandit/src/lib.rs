@@ -50,6 +50,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 mod diagnostics;
@@ -62,7 +63,6 @@ mod oracle_api;
 mod policy;
 mod prune;
 mod random;
-mod score_pool;
 mod snapshot;
 mod static_score;
 mod ts;
@@ -80,7 +80,6 @@ pub use oracle_api::{
 };
 pub use policy::{Policy, SelectionView};
 pub use random::RandomPolicy;
-pub use score_pool::{live_score_workers, shared_score_pool, ScorePool, SCORE_CHUNK};
 pub use snapshot::{restore_estimator, save_estimator, SnapshotError, MAGIC as SNAPSHOT_MAGIC};
 pub use static_score::StaticScorePolicy;
 pub use ts::ThompsonSampling;

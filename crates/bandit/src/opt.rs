@@ -45,12 +45,11 @@ impl Policy for Opt {
     }
 
     fn score_into(&mut self, view: &SelectionView<'_>, ws: &mut ScoreWorkspace) {
-        let model = &self.model;
-        ws.fill_scores(view, |range, s| {
-            for (s, v) in s.iter_mut().zip(range) {
-                *s = model.expected_reward(view.contexts, fasea_core::EventId(v));
-            }
-        });
+        for (v, s) in ws.scores_mut(view.num_events()).iter_mut().enumerate() {
+            *s = self
+                .model
+                .expected_reward(view.contexts, fasea_core::EventId(v));
+        }
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

@@ -22,12 +22,12 @@ use fasea_core::{ContextMatrix, EventId};
 use fasea_linalg::{dots_and_sq_norms_into, Matrix};
 
 /// Smallest `|V|` at which a UCB round tries to prune. Below it the
-/// full pass costs tens of microseconds (`BENCH_scoring.json`: ~32 µs
-/// at 500×20), so the served shapes keep the plain full pass.
+/// full pass costs tens of microseconds (~32 µs at 500×20 on a 2-core
+/// host), so the served shapes keep the plain full pass.
 pub(crate) const PRUNE_MIN_EVENTS: usize = 1024;
 
-/// Rows per gathered exact batch: a multiple of `QF_LANES`, and small,
-/// so the k-th exact score tightens often.
+/// Rows per gathered exact batch: a multiple of the kernel's 8-event
+/// lane group, and small, so the k-th exact score tightens often.
 const BATCH: usize = 32;
 
 /// Bounds per block of the top-k pass.

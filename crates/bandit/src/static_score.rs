@@ -65,8 +65,7 @@ impl Policy for StaticScorePolicy {
             n,
             "StaticScorePolicy: score vector does not match |V|"
         );
-        let src = &self.scores;
-        ws.fill_scores(view, |range, s| s.copy_from_slice(&src[range]));
+        ws.scores_mut(n).copy_from_slice(&self.scores);
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

@@ -98,12 +98,11 @@ impl Policy for ThompsonSampling {
             .expect("ThompsonSampling: Y must stay SPD");
         let theta_tilde =
             sample_gaussian_with_precision_factor(&theta_hat, q, &chol, &mut self.rng);
-        // The posterior draw above consumed its d Gaussians serially on
-        // this thread; only the deterministic dot scan may fan out.
-        let theta_tilde = theta_tilde.as_slice();
-        ws.fill_scores(view, |range, s| {
-            crate::score_pool::dot_scores(view.contexts, theta_tilde, range, s)
-        });
+        crate::exploit::dot_scores(
+            view.contexts,
+            theta_tilde.as_slice(),
+            ws.scores_mut(view.num_events()),
+        );
     }
 
     fn workspace(&self) -> &ScoreWorkspace {

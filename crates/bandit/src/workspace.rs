@@ -1,11 +1,9 @@
 //! Reusable per-policy scoring scratch for the batched selection path.
 
 use crate::prune::{self, PruneScratch};
-use crate::score_pool::{host_cores, pool_pays_off, shared_score_pool, ShardWriter, SCORE_CHUNK};
-use crate::{Oracle, OracleWorkspace, ScorePool, SelectionView};
+use crate::{Oracle, OracleWorkspace, SelectionView};
 use fasea_core::{Arrangement, ContextMatrix};
 use fasea_linalg::Matrix;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// A pluggable replacement for the oracle ranking step of
@@ -64,16 +62,6 @@ pub trait Arranger: Send + Sync + std::fmt::Debug {
 /// meaningful between a `score_into` and the next `observe`; they are
 /// overwritten wholesale at the start of each round.
 ///
-/// ## Slice-length invariant
-///
-/// Every buffer returned by [`ScoreWorkspace::scores_mut`] /
-/// [`ScoreWorkspace::scores_and_widths_mut`] has length **exactly**
-/// `num_events` — asserted once at slicing time. The parallel scoring
-/// paths depend on it: pool chunks write through raw sub-range views of
-/// these buffers, and disjointness of those views is only guaranteed
-/// when the backing slice spans precisely the event range being
-/// sharded.
-///
 /// ## Oracle dispatch
 ///
 /// [`ScoreWorkspace::arrange_into`] picks the arrangement engine in
@@ -101,24 +89,6 @@ pub trait Arranger: Send + Sync + std::fmt::Debug {
 /// so no caller reads a partial vector as a full one.
 /// [`ScoreWorkspace::score_stats`] counts the exact share.
 ///
-/// ## Parallelism
-///
-/// Each round the workspace decides, from the view's `|V|·d` and the
-/// host's cores, whether to score serially or through the process-wide
-/// [`crate::shared_score_pool`] (the cut-over is measured; see the
-/// `score_pool` module). Policies fill their scores through
-/// [`ScoreWorkspace::fill_scores`] /
-/// [`ScoreWorkspace::fill_scores_and_widths`], which read that one
-/// decision; pooled scores are bit-identical to serial by the
-/// determinism argument in the `score_pool` module docs. The oracle's
-/// ranking stays serial: it is one comparison per event, and a second
-/// pool dispatch per round made pooled rounds slower on two cores (see
-/// DESIGN.md §11). A workspace that has used the shared pool keeps a
-/// handle to it, so the pool's workers live exactly as long as some
-/// workspace needs them. [`ScoreWorkspace::set_score_pool`]
-/// overrides the decision with a given pool — tests and benches use it
-/// to force the pooled path (or, with a 1-thread pool, the serial one).
-///
 /// ## Pipelined score prefetch
 ///
 /// The round engines may compute a round's scores *early* — while the
@@ -139,7 +109,6 @@ pub struct ScoreWorkspace {
     scores: Vec<f64>,
     widths: Vec<f64>,
     oracle_ws: OracleWorkspace,
-    pool: PoolChoice,
     oracle: Option<Arc<dyn Oracle>>,
     arranger: Option<Arc<dyn Arranger>>,
     scored_once: bool,
@@ -153,23 +122,6 @@ pub struct ScoreWorkspace {
     /// Exact entries written by this round's scoring pass.
     round_exact: usize,
     score_stats: ScoreStats,
-}
-
-/// How a workspace picks where its rounds score.
-#[derive(Debug, Clone)]
-enum PoolChoice {
-    /// Per view: serial, or the shared pool once the cut-over says it
-    /// pays (held from the first such round on).
-    Auto(Option<Arc<ScorePool>>),
-    /// Always this pool, installed through
-    /// [`ScoreWorkspace::set_score_pool`].
-    Forced(Arc<ScorePool>),
-}
-
-impl Default for PoolChoice {
-    fn default() -> Self {
-        PoolChoice::Auto(None)
-    }
 }
 
 /// Stashed early-computed scores for one future round, tagged with the
@@ -265,114 +217,21 @@ impl ScoreWorkspace {
     /// Resizes the score buffer for `|V| = num_events` and returns it.
     /// Old contents are not cleared — every policy overwrites all `|V|`
     /// entries.
-    ///
-    /// Invariant (checked here, once, at slicing time): the returned
-    /// slice has length exactly `num_events`; parallel shard writers
-    /// derive their disjoint sub-ranges from this length.
     pub fn scores_mut(&mut self, num_events: usize) -> &mut [f64] {
         self.pruned = false;
         self.round_exact = num_events;
         self.scores.resize(num_events, 0.0);
-        debug_assert_eq!(
-            self.scores.len(),
-            num_events,
-            "score buffer must span exactly the event range"
-        );
         &mut self.scores
     }
 
     /// Like [`ScoreWorkspace::scores_mut`] but also sizes and returns the
-    /// width buffer (UCB's batched `√(xᵀY⁻¹x)` lands here). Both slices
-    /// satisfy the `len == num_events` invariant of
-    /// [`ScoreWorkspace::scores_mut`].
+    /// width buffer (UCB's batched `√(xᵀY⁻¹x)` lands here).
     pub fn scores_and_widths_mut(&mut self, num_events: usize) -> (&mut [f64], &mut [f64]) {
         self.pruned = false;
         self.round_exact = num_events;
         self.scores.resize(num_events, 0.0);
         self.widths.resize(num_events, 0.0);
-        debug_assert!(
-            self.scores.len() == num_events && self.widths.len() == num_events,
-            "score/width buffers must span exactly the event range"
-        );
         (&mut self.scores, &mut self.widths)
-    }
-
-    /// Forces every later round to score through `pool` (a 1-thread
-    /// pool forces the serial path); `None` returns to the automatic
-    /// choice. Output is bit-identical either way — this seam exists so
-    /// tests and benches can pin the path they measure.
-    pub fn set_score_pool(&mut self, pool: Option<Arc<ScorePool>>) {
-        self.pool = match pool {
-            Some(pool) => PoolChoice::Forced(pool),
-            None => PoolChoice::Auto(None),
-        };
-    }
-
-    /// The pool a round of `n` events of dimension `dim` runs on, or
-    /// `None` for serial: the forced pool, or the shared one when the
-    /// cut-over says pooling a view this size pays on this host.
-    fn score_pool_for(&mut self, n: usize, dim: usize) -> Option<Arc<ScorePool>> {
-        let pool = match &mut self.pool {
-            PoolChoice::Forced(pool) => pool,
-            PoolChoice::Auto(held) => {
-                if !pool_pays_off(n, dim, host_cores()) {
-                    return None;
-                }
-                held.get_or_insert_with(shared_score_pool)
-            }
-        };
-        (pool.threads() > 1).then(|| Arc::clone(pool))
-    }
-
-    /// Fills the `|V|` scores of `view` with `f(events, scores[events])`:
-    /// one call over the whole event range, or one per pool chunk when
-    /// this round pools. `f` must write every score of its range from
-    /// per-event arithmetic alone, so chunking cannot change a bit.
-    pub fn fill_scores(
-        &mut self,
-        view: &SelectionView<'_>,
-        f: impl Fn(Range<usize>, &mut [f64]) + Sync,
-    ) {
-        let n = view.num_events();
-        let pool = self.score_pool_for(n, view.dim());
-        let scores = ShardWriter::new(self.scores_mut(n));
-        run_chunked(pool.as_deref(), n, &|range| {
-            // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
-            f(range.clone(), unsafe { scores.slice(range) })
-        });
-    }
-
-    /// Like [`ScoreWorkspace::fill_scores`], with each range's slice of
-    /// the width buffer too: `f(events, scores[events], widths[events])`.
-    pub fn fill_scores_and_widths(
-        &mut self,
-        view: &SelectionView<'_>,
-        f: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
-    ) {
-        let n = view.num_events();
-        self.scores_and_widths_mut(n);
-        self.fill_all(n, view.dim(), f);
-    }
-
-    /// Runs `f` over the score and width buffers (already `n` long):
-    /// once over `0..n`, or once per pool chunk when a round this size
-    /// pools.
-    fn fill_all(
-        &mut self,
-        n: usize,
-        dim: usize,
-        f: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
-    ) {
-        let pool = self.score_pool_for(n, dim);
-        let (scores, widths) = (
-            ShardWriter::new(&mut self.scores[..n]),
-            ShardWriter::new(&mut self.widths[..n]),
-        );
-        run_chunked(pool.as_deref(), n, &|range| {
-            // SAFETY: `run_chunked` hands out disjoint ranges of `0..n`.
-            let (s, w) = unsafe { (scores.slice(range.clone()), widths.slice(range.clone())) };
-            f(range, s, w)
-        });
     }
 
     /// Scores a UCB round: `r̂_v = x_v·θ̂ + α·√(x_vᵀY⁻¹x_v)` for the events
@@ -382,11 +241,10 @@ impl ScoreWorkspace {
     /// A wide round (`|V| ≥ 1024`, ranked prefix below `|V|`) prunes: it
     /// scores exactly only the events Oracle-Greedy's initial prefix can
     /// reach, and stays incomplete (see *Pruned UCB rounds* in the type
-    /// docs). Such a round scores serially; a round that cannot prune,
-    /// or whose bounds turn out too loose, runs the full pass, pooled
-    /// when it pays. After a too-loose round the next 1, 2, 4, … (up to
-    /// 64) rounds skip the attempt. Every exact entry is bit-identical
-    /// either way.
+    /// docs). A round that cannot prune, or whose bounds turn out too
+    /// loose, runs the full pass. After a too-loose round the next 1, 2,
+    /// 4, … (up to 64) rounds skip the attempt. Every exact entry is
+    /// bit-identical either way.
     pub fn score_ucb(
         &mut self,
         view: &SelectionView<'_>,
@@ -412,11 +270,8 @@ impl ScoreWorkspace {
                 return;
             }
         }
-        let ctx = view.contexts.as_slice();
-        self.fill_scores_and_widths(view, |range, s, w| {
-            let xs = &ctx[range.start * dim..range.end * dim];
-            prune::ucb_block(y_inv, theta, alpha, xs, dim, s, w);
-        });
+        let (s, w) = self.scores_and_widths_mut(n);
+        prune::ucb_block(y_inv, theta, alpha, view.contexts.as_slice(), dim, s, w);
     }
 
     /// Fills in every score a pruned round left out, from the same
@@ -437,14 +292,9 @@ impl ScoreWorkspace {
             self.scores.len(),
             "complete_scores: contexts do not match the pruned round"
         );
-        let prune = std::mem::take(&mut self.prune);
-        let ctx = contexts.as_slice();
-        self.fill_all(n, dim, |range, s, w| {
-            prune
-                .model
-                .score_block(&ctx[range.start * dim..range.end * dim], dim, s, w);
-        });
-        self.prune = prune;
+        self.prune
+            .model
+            .score_block(contexts.as_slice(), dim, &mut self.scores, &mut self.widths);
         self.pruned = false;
         self.score_stats.completed += (n - self.round_exact) as u64;
         self.score_stats.completions += 1;
@@ -687,15 +537,6 @@ impl ScoreWorkspace {
             * std::mem::size_of::<f64>()
             + self.oracle_ws.state_bytes()
             + self.prune.state_bytes()
-    }
-}
-
-/// Runs `f` once over `0..n`, or once per [`SCORE_CHUNK`] chunk of it
-/// spread over `pool`.
-fn run_chunked(pool: Option<&ScorePool>, n: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
-    match pool {
-        Some(pool) => pool.run(n, SCORE_CHUNK, &|_chunk, range| f(range)),
-        None => f(0..n),
     }
 }
 

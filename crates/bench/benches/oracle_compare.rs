@@ -36,7 +36,7 @@ fn scores_for(n: usize) -> Vec<f64> {
 }
 
 /// Mean ns per call of `f`, measured in ~1 ms batches until the budget
-/// is spent (same scheme as `scoring_hot_path`).
+/// is spent.
 fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     let warm_start = Instant::now();
     while warm_start.elapsed() < budget / 10 {

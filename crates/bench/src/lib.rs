@@ -1,14 +1,12 @@
 //! # fasea-bench
 //!
-//! The four benches that hold keep-or-remove evidence for machinery the
+//! The three benches that hold keep-or-remove evidence for machinery the
 //! end-to-end benchmark (`benchmark/`) does not exercise on its own:
 //!
 //! * `oracle_compare` — greedy vs tabu oracles: attendance and latency
 //!   side by side (`BENCH_oracle.json`);
 //! * `pipeline_throughput` — serve grant-ahead admission at
 //!   `--pipeline-depth` 1 vs 4 (`BENCH_pipeline.json`);
-//! * `scoring_hot_path` — serial vs pooled vs automatic scoring, the
-//!   ScorePool cut-over (`BENCH_scoring.json`);
 //! * `shard_scaling` — the sharded service at 1, 2 and 4 shards against
 //!   the single actor (`BENCH_shard.json`).
 //!

@@ -4,7 +4,7 @@
 //! The benches in `crates/bench/benches/` write their result tables
 //! through `fasea_bench::BenchReport` when `FASEA_BENCH_JSON` is set;
 //! the repository commits those tables (`BENCH_oracle.json`,
-//! `BENCH_pipeline.json`, `BENCH_scoring.json`, `BENCH_shard.json`) as
+//! `BENCH_pipeline.json`, `BENCH_shard.json`) as
 //! the record of the measured numbers. This module validates that each
 //! file still parses and keeps the one shape every bench shares, so a
 //! bench edit that drifts the output format fails `scripts/check.sh`

@@ -22,7 +22,7 @@ fn print_usage() {
          [--churn N]\n\
          experiments: {} verify plots all\n\
          defaults: --t 100000 (the paper's horizon), --out results, 1000/10000 real rounds, 1 rep\n\
-         --threads fans experiment cells out (scoring picks serial or pooled by itself)\n\
+         --threads fans experiment cells out (each round scores on its cell's thread)\n\
          --oracle picks the arrangement oracle (greedy = the paper's Algorithm 2);\n\
          --churn N closes/shrinks/re-opens one event every N rounds (0 = static universe)\n\
          network service:\n\

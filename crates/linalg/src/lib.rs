@@ -61,7 +61,7 @@ mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use matrix::{outer, Matrix, QF_LANES};
+pub use matrix::{outer, Matrix};
 pub use sherman_morrison::ShermanMorrisonInverse;
 pub use sketch::FrequentDirections;
 pub use vector::{dot_slices, dots_and_sq_norms_into, Vector};

@@ -506,13 +506,7 @@ pub fn outer(x: &Vector, y: &Vector) -> Matrix {
 }
 
 /// Events processed per lane group by [`Matrix::quadratic_forms_batch`].
-///
-/// Public because callers that *shard* a context block across threads
-/// must cut at multiples of this lane width: the batched kernels start
-/// a fresh lane group at offset 0 of whatever slice they are handed, so
-/// a sub-range is bit-identical to the same rows of a full-range call
-/// exactly when its start row is `QF_LANES`-aligned.
-pub const QF_LANES: usize = 8;
+const QF_LANES: usize = 8;
 /// Largest dimension the stack-resident transposed block supports;
 /// larger systems fall back to the scalar kernel (FASEA uses d ≤ 20).
 const QF_MAX_DIM: usize = 64;

@@ -269,63 +269,6 @@ impl ShermanMorrisonInverse {
         }
     }
 
-    /// Sub-range form of [`ShermanMorrisonInverse::widths_into`]: widths
-    /// for rows `start_row .. start_row + out.len()` of the row-major
-    /// block `xs`, written to `out`.
-    ///
-    /// This is the shard-safe entry point for parallel scoring: the
-    /// batched kernel starts a fresh lane group at the beginning of the
-    /// slice it is handed, so the results are bit-identical to the same
-    /// rows of a full-range [`ShermanMorrisonInverse::widths_into`] call
-    /// exactly when `start_row` is a multiple of [`crate::QF_LANES`]
-    /// (debug-asserted).
-    ///
-    /// # Panics
-    /// Panics if the addressed rows fall outside `xs` or on a shape
-    /// mismatch (see [`crate::Matrix::quadratic_forms_batch`]).
-    pub fn widths_range_into(&self, xs: &[f64], dim: usize, start_row: usize, out: &mut [f64]) {
-        debug_assert!(
-            start_row.is_multiple_of(crate::QF_LANES),
-            "widths_range_into: start_row {start_row} breaks lane alignment"
-        );
-        let sub = &xs[start_row * dim..(start_row + out.len()) * dim];
-        self.y_inv.quadratic_forms_batch(sub, dim, out);
-        for w in out.iter_mut() {
-            *w = w.max(0.0).sqrt();
-        }
-    }
-
-    /// Sub-range form of [`ShermanMorrisonInverse::widths_and_dots_into`]:
-    /// the fused UCB pass over rows `start_row .. start_row +
-    /// widths.len()` of `xs`. Bit-identical to the same rows of the
-    /// full-range call when `start_row` is a multiple of
-    /// [`crate::QF_LANES`] (debug-asserted) — the sharding contract of
-    /// the parallel scoring engine.
-    ///
-    /// # Panics
-    /// Panics if the addressed rows fall outside `xs`, on a shape
-    /// mismatch, or if `theta.len() != dim`.
-    pub fn widths_and_dots_range_into(
-        &self,
-        xs: &[f64],
-        dim: usize,
-        theta: &[f64],
-        start_row: usize,
-        widths: &mut [f64],
-        dots: &mut [f64],
-    ) {
-        debug_assert!(
-            start_row.is_multiple_of(crate::QF_LANES),
-            "widths_and_dots_range_into: start_row {start_row} breaks lane alignment"
-        );
-        let sub = &xs[start_row * dim..(start_row + widths.len()) * dim];
-        self.y_inv
-            .quadratic_forms_and_dots_batch(sub, dim, theta, widths, dots);
-        for w in widths.iter_mut() {
-            *w = w.max(0.0).sqrt();
-        }
-    }
-
     /// Periodically re-derives `Y⁻¹` from a fresh Cholesky factorisation of
     /// `Y` to wash out accumulated floating-point drift. Long-horizon runs
     /// (the paper uses `T = 100 000`) call this every few thousand rounds.

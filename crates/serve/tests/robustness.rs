@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use fasea_bandit::{LinUcb, Policy};
+use fasea_bandit::LinUcb;
 use fasea_core::ProblemInstance;
 use fasea_serve::{
     decode_request, decode_response, encode_request, encode_response, ClientConfig, ErrorCode,
@@ -24,35 +24,14 @@ use fasea_store::{parse_raw_frame, write_raw_frame, FrameParse, FsyncPolicy};
 
 const DIM: usize = 3;
 
-/// Waits (bounded) for the score-pool workers to pass through their
-/// startup preamble; returns the observed live count.
-fn await_live_score_workers(want: usize) -> usize {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let live = fasea_bandit::live_score_workers();
-        if live == want || std::time::Instant::now() > deadline {
-            return live;
-        }
-        std::thread::yield_now();
-    }
-}
-
 fn start_server(tag: &str) -> (ServerHandle, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("fasea-serve-robust-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    // The server scores through the process-shared pool — forced, since
-    // a 6-event instance never picks it by itself: the attacks must not
-    // disturb a *parallel* scoring engine either, and shutdown must
-    // join its workers.
-    let mut policy = Box::new(LinUcb::new(DIM, 1.0, 2.0));
-    policy
-        .workspace_mut()
-        .set_score_pool(Some(fasea_bandit::shared_score_pool()));
     let svc = DurableArrangementService::open(
         &dir,
         ProblemInstance::basic(6, DIM),
-        policy,
+        Box::new(LinUcb::new(DIM, 1.0, 2.0)),
         DurableOptions::new().with_fsync(FsyncPolicy::Never),
     )
     .unwrap();
@@ -148,15 +127,6 @@ impl XorShift {
 #[test]
 fn hostile_streams_get_typed_errors_or_clean_close() {
     let (handle, dir) = start_server("hostile");
-
-    // The server holds the shared pool: one worker fewer than the
-    // host's cores (the actor thread itself is the remaining lane).
-    let workers = fasea_bandit::shared_score_pool().threads() - 1;
-    assert_eq!(
-        await_live_score_workers(workers),
-        workers,
-        "score pool workers did not come up"
-    );
 
     // 1. Pure garbage: an implausible length prefix.
     {
@@ -279,14 +249,6 @@ fn hostile_streams_get_typed_errors_or_clean_close() {
     let report = handle.join();
     assert!(report.close.error.is_none());
     assert_eq!(report.close.rounds_completed, 1);
-    // Graceful drain joins the score-pool workers: closing the durable
-    // service drops the last handle on the shared pool, and `join` must
-    // not return while scoring threads are still alive.
-    assert_eq!(
-        fasea_bandit::live_score_workers(),
-        0,
-        "drain left score pool workers running"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

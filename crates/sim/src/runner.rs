@@ -537,36 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_reproduces_serial_results_exactly() {
-        let w = small_workload(19);
-        let cfg = RunConfig {
-            horizon: 250,
-            checkpoints: vec![125, 250],
-            track_kendall: true,
-            measure_time: false,
-            feedback_seed: 77,
-            ..RunConfig::new(1)
-        };
-        let mut p1 = full_policy_set(5, 3);
-        let mut p2 = full_policy_set(5, 3);
-        let pool = std::sync::Arc::new(fasea_bandit::ScorePool::new(4));
-        for p in &mut p2 {
-            p.workspace_mut().set_score_pool(Some(pool.clone()));
-        }
-        let r1 = run_simulation(&w, &mut p1, &cfg);
-        let r2 = run_simulation(&w, &mut p2, &cfg);
-        // Checkpoint derives PartialEq over exact counts and exact
-        // floats (accept/regret ratios, Kendall τ): the parallel run
-        // must be indistinguishable from serial.
-        assert_eq!(r1.reference.checkpoints, r2.reference.checkpoints);
-        for (a, b) in r1.policies.iter().zip(&r2.policies) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.checkpoints, b.checkpoints, "{} diverged", a.name);
-            assert_eq!(a.accounting.total_rewards(), b.accounting.total_rewards());
-        }
-    }
-
-    #[test]
     fn capacity_exhaustion_is_detected() {
         // Tiny capacities: OPT must exhaust all events well before the
         // horizon, flattening its reward curve.

@@ -7,9 +7,8 @@
 //! just the small arrangement copies its API hands out — not the
 //! 800 KB context block a per-proposal clone would take.
 //!
-//! A counting `GlobalAlloc` tallies bytes on every thread (the scoring
-//! pool's workers included), so nothing a round does elsewhere escapes
-//! the count.
+//! A counting `GlobalAlloc` tallies bytes on every thread, so nothing a
+//! round does elsewhere escapes the count.
 
 use fasea_bandit::LinUcb;
 use fasea_core::UserArrival;

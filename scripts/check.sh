@@ -26,14 +26,6 @@ cargo build -q --examples
 echo "==> cargo bench --no-run"
 cargo bench -q --no-run
 
-# Smoke the scoring hot path (~15s): exercises the legacy, serial,
-# pooled and automatic paths' bit-equality assertions for UCB and TS on
-# every cell with a tiny time budget. Deliberately does NOT set
-# FASEA_BENCH_JSON — the committed BENCH_scoring.json numbers come from
-# a full-budget run, not this smoke.
-echo "==> scoring_hot_path smoke (FASEA_BENCH_MS=25)"
-FASEA_BENCH_MS=25 cargo bench -q -p fasea-bench --bench scoring_hot_path
-
 # Pruned UCB scoring against the full kernel: identical arrangements
 # and bit-equal exact entries over hostile rows, score ties, three α
 # values, widening and `k = n` fallbacks, and a horizon past the
@@ -49,12 +41,6 @@ cargo test -q --release -p fasea-bandit --test batched_equivalence pruned
 echo "==> zero-allocation pruned rounds (release)"
 cargo test -q --release -p fasea-bandit --test alloc_free
 cargo test -q --release -p fasea-sim --test service_alloc
-
-# Golden determinism through the parallel engine: a run with a 4-thread
-# ScorePool forced into every policy must land on the identical golden
-# totals as one forced serial.
-echo "==> parallel golden determinism (forced 4-thread pool vs forced serial)"
-cargo test -q --test determinism_golden parallel_scoring_matches_serial_golden
 
 # Spill determinism: a personalized-policy run under a tiny model-store
 # memory budget (constant demotion/eviction/faulting through the spill
@@ -78,8 +64,8 @@ echo "==> sharded-vs-single parity + 2PC kill matrix"
 cargo test -q --test shard_parity
 
 # Oracle-trait equivalence gate: GreedyOracle routed through the Oracle
-# trait must stay bit-equal to the pre-trait reference across all 7
-# policies x forced score pools of {1,2,8} threads x shards {1,2,4}, and TabuOracle
+# trait must stay bit-equal to the pre-trait reference for all 7
+# policies on the single actor and over shards {1,2,4}, and TabuOracle
 # must shard identically to its single-actor run.
 echo "==> oracle-trait equivalence (greedy bit-equal, tabu shard parity)"
 cargo test -q --test shard_parity oracle

@@ -29,11 +29,9 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fasea::bandit::{
-    EpsilonGreedy, Exploit, LinUcb, Opt, Policy, RandomPolicy, ScorePool, StaticScorePolicy,
-    ThompsonSampling,
+    EpsilonGreedy, Exploit, LinUcb, Opt, Policy, RandomPolicy, StaticScorePolicy, ThompsonSampling,
 };
 use fasea::core::EventId;
 use fasea::datagen::{SyntheticConfig, SyntheticWorkload};
@@ -517,14 +515,13 @@ fn in_doubt_transactions_resolve_by_coordinator_decision() {
 // ---- oracle-equivalence gate ----
 
 /// The `Oracle`-trait redesign must be invisible for the default
-/// oracle: explicitly installing [`OracleOptions::greedy`] — with a
-/// {1, 2, 8}-thread score pool forced into the policy, and over
-/// {1, 2, 4} shards —
-/// must reproduce the default-options single-actor digest bit for bit
-/// (capacities, accounting, and policy state including RNG position)
-/// for every policy the repo ships.
+/// oracle: explicitly installing [`OracleOptions::greedy`] — on the
+/// single actor and over {1, 2, 4} shards — must reproduce the
+/// default-options single-actor digest bit for bit (capacities,
+/// accounting, and policy state including RNG position) for every
+/// policy the repo ships.
 #[test]
-fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
+fn greedy_oracle_through_trait_is_bit_equal_across_shards() {
     use fasea::bandit::OracleOptions;
     const ROUNDS: u64 = 40;
     let w = workload();
@@ -545,50 +542,41 @@ fn greedy_oracle_through_trait_is_bit_equal_across_threads_and_shards() {
             d
         };
 
-        for pool_threads in [1usize, 2, 8] {
-            let pool = Arc::new(ScorePool::new(pool_threads));
-            let pooled_policy = || {
-                let mut p = policy_named(name);
-                p.workspace_mut().set_score_pool(Some(Arc::clone(&pool)));
-                p
-            };
-            let trait_opts = opts().with_oracle(OracleOptions::greedy());
-            let dir = tmp(&format!("oracle-single-{name}-{pool_threads}"));
-            let mut svc = DurableArrangementService::open(
+        let dir = tmp(&format!("oracle-single-{name}"));
+        let mut svc = DurableArrangementService::open(
+            &dir,
+            w.instance.clone(),
+            policy_named(name),
+            opts().with_oracle(OracleOptions::greedy()),
+        )
+        .unwrap();
+        run_single(&mut svc, &w, ROUNDS);
+        assert_eq!(
+            digest_single(&svc),
+            reference,
+            "{name}: trait greedy on the single actor diverged"
+        );
+        drop(svc);
+        fs::remove_dir_all(&dir).unwrap();
+
+        for shards in [1usize, 2, 4] {
+            let dir = tmp(&format!("oracle-shard-{name}-{shards}"));
+            let mut svc = ShardedArrangementService::open(
                 &dir,
                 w.instance.clone(),
-                pooled_policy(),
-                trait_opts,
+                policy_named(name),
+                opts().with_oracle(OracleOptions::greedy()),
+                shards,
             )
             .unwrap();
-            run_single(&mut svc, &w, ROUNDS);
+            run_sharded(&mut svc, &w, ROUNDS);
             assert_eq!(
-                digest_single(&svc),
+                digest_sharded(&svc),
                 reference,
-                "{name}: trait greedy at {pool_threads} scoring threads diverged"
+                "{name}: trait greedy over {shards} shards diverged"
             );
-            drop(svc);
+            svc.close().unwrap();
             fs::remove_dir_all(&dir).unwrap();
-
-            for shards in [1usize, 2, 4] {
-                let dir = tmp(&format!("oracle-shard-{name}-{pool_threads}-{shards}"));
-                let mut svc = ShardedArrangementService::open(
-                    &dir,
-                    w.instance.clone(),
-                    pooled_policy(),
-                    opts().with_oracle(OracleOptions::greedy()),
-                    shards,
-                )
-                .unwrap();
-                run_sharded(&mut svc, &w, ROUNDS);
-                assert_eq!(
-                    digest_sharded(&svc),
-                    reference,
-                    "{name}: trait greedy over {shards} shards / {pool_threads} threads diverged"
-                );
-                svc.close().unwrap();
-                fs::remove_dir_all(&dir).unwrap();
-            }
         }
     }
 }
