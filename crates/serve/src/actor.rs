@@ -1,9 +1,14 @@
-//! The service actor: a single thread that owns the
+//! The service actor: the state machine that owns the
 //! [`DurableArrangementService`] and executes commands strictly
 //! sequentially, exactly as the FASEA protocol demands.
 //!
-//! Workers never touch the service directly — they send [`Command`]s
-//! over a channel with a per-request reply sender. Round ownership is
+//! The server keeps one [`ServiceActor`] behind one `Mutex`, and each
+//! worker runs [`ServiceActor::handle`] on its own thread for the
+//! [`Command`] it just decoded — the lock is the single-writer rule,
+//! and there is no actor thread to hop to. Most commands are answered
+//! on the spot; a reply that must wait (a parked `CLAIM`, a buffered
+//! future-round `PROPOSE`, a `FEEDBACK_OK` gated on durability) is sent
+//! later on the reply sender the command carries. Round ownership is
 //! brokered here: a `CLAIM` either grants a round immediately, parks
 //! the claimant in a bounded FIFO (the backpressure point — a full
 //! queue answers [`ErrorCode::Overloaded`]), or is refused while
@@ -27,7 +32,7 @@
 //! is stale whenever round `t` arranged anything. Depth therefore
 //! overlaps only future rounds' network turnaround and decode with the
 //! head round's work and commit wait; the actor itself stays
-//! single-threaded, and the final WAL and state are bit-equal to
+//! sequential, and the final WAL and state are bit-equal to
 //! `pipeline_depth = 1` (gated by `tests/serve_end_to_end.rs`).
 //!
 //! # Group commit: deferred acknowledgements
@@ -40,7 +45,7 @@
 //! acked round still implies a durable round, exactly as in the
 //! synchronous path, but N concurrent sessions now share one fsync.
 //! The commit syncer flushes the queue directly from its own thread
-//! via the commit notifier (no actor wake-up needed), and the actor
+//! via the commit notifier (no actor lock needed), and the actor
 //! re-flushes after every push to close the race where the watermark
 //! advanced between the append and the push.
 //!
@@ -49,19 +54,21 @@
 //! Propose record recovers to the pre-round state and re-draws the
 //! *identical* arrangement when the round is re-delivered, because the
 //! policy's RNG position is restored from the log; recovery asserts
-//! this bit-exactly (`RecoveryDiverged`). The propose record still
-//! travels the commit queue in LSN order, so it is always durable
-//! before the feedback that completes its round is acknowledged.
-//! Keeping the proposal ack off the fsync keeps the fsync out of the
-//! round-sequential critical path: the only durability wait left per
-//! round overlaps the next round's network turnaround.
+//! this bit-exactly (`RecoveryDiverged`). Since nobody waits on it,
+//! the Propose record is written at once but fsynced only with the
+//! round's `Feedback` record, in LSN order, so it is always durable
+//! before the feedback that completes its round is acknowledged — one
+//! fsync per round. Keeping the proposal ack off the fsync keeps the
+//! fsync out of the round-sequential critical path: the only
+//! durability wait left per round overlaps the next round's network
+//! turnaround.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fasea_core::{ContextMatrix, UserArrival};
 use fasea_sim::ServiceError;
@@ -70,30 +77,26 @@ use crate::backend::BackendService;
 use crate::metrics::Metrics;
 use crate::proto::{ErrorCode, Response, WireStats};
 
-/// A command sent from a worker to the service actor. Every variant
-/// carrying a `reply` is answered with exactly one [`Response`] (unless
-/// the worker has already hung up, in which case the reply is dropped).
+/// One decoded request for the service actor. [`ServiceActor::handle`]
+/// answers every command exactly once: directly, or — for the
+/// variants carrying a `reply` — later on that sender (unless the
+/// worker has already hung up, in which case the reply is dropped).
 pub enum Command {
     /// Session handshake.
-    Hello {
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
+    Hello,
     /// Request ownership of the next round.
     Claim {
         /// Session id of the claimant.
         conn: u64,
         /// When the claim left the worker (queue-wait metric).
         enqueued: Instant,
-        /// Reply channel; answered when granted, refused, or draining.
+        /// Where the grant goes if the claim is parked.
         reply: Sender<Response>,
     },
     /// Give the claimed round back without proposing.
     Release {
         /// Session id.
         conn: u64,
-        /// Reply channel.
-        reply: Sender<Response>,
     },
     /// Propose an arrangement for the owned round.
     Propose {
@@ -107,7 +110,8 @@ pub enum Command {
         dim: u32,
         /// Row-major context block.
         contexts: Vec<f64>,
-        /// Reply channel.
+        /// Where the reply goes if a future round's proposal is
+        /// buffered until its round becomes the head round.
         reply: Sender<Response>,
     },
     /// Answer the pending proposal of the owned round.
@@ -116,29 +120,19 @@ pub enum Command {
         conn: u64,
         /// Accept/reject per arranged slot.
         accepts: Vec<bool>,
-        /// Reply channel.
+        /// Where `FEEDBACK_OK` goes once the round is durable (group
+        /// commit).
         reply: Sender<Response>,
     },
     /// Health + metrics snapshot.
-    Stats {
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
+    Stats,
     /// Begin a graceful drain: refuse new claims, answer parked ones
     /// with `ShuttingDown`, let in-flight rounds finish.
-    Shutdown {
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
-    /// The session's connection closed; release anything it owns.
-    Disconnect {
-        /// Session id.
-        conn: u64,
-    },
+    Shutdown,
 }
 
-/// What the actor thread returns once the command channel closes and
-/// the service has been flushed to disk.
+/// What [`ServiceActor::close`] returns once the service has been
+/// flushed to disk.
 pub struct CloseReport {
     /// Rounds completed at close.
     pub rounds_completed: u64,
@@ -230,14 +224,13 @@ struct BufferedPropose {
     reply: Sender<Response>,
 }
 
-/// The actor state machine. Owns the durable service for its lifetime.
+/// The actor state machine. Owns the durable service for its lifetime;
+/// callers serialise access to it (the server holds it in one `Mutex`).
 pub struct ServiceActor {
     svc: BackendService,
-    rx: Receiver<Command>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     max_inflight: usize,
-    poll_interval: Duration,
     /// Maximum concurrently granted rounds (1 = sequential admission).
     pipeline_depth: usize,
     /// Granted in-flight rounds, in round order (head first).
@@ -295,14 +288,11 @@ impl ServiceActor {
     ///
     /// `pipeline_depth` bounds concurrently granted rounds (clamped to
     /// at least 1; 1 reproduces the strictly sequential admission).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         svc: impl Into<BackendService>,
-        rx: Receiver<Command>,
         metrics: Arc<Metrics>,
         shutdown: Arc<AtomicBool>,
         max_inflight: usize,
-        poll_interval: Duration,
         pipeline_depth: usize,
         snapshot_every: Option<u64>,
         churn: fasea_core::ChurnSchedule,
@@ -322,11 +312,9 @@ impl ServiceActor {
         }
         ServiceActor {
             svc,
-            rx,
             metrics,
             shutdown,
             max_inflight: max_inflight.max(1),
-            poll_interval,
             pipeline_depth: pipeline_depth.max(1),
             grants: VecDeque::new(),
             tier_seen: fasea_bandit::ModelTierStats::default(),
@@ -339,21 +327,21 @@ impl ServiceActor {
         }
     }
 
-    /// Runs until every command sender is gone, then flushes and
-    /// snapshots the service.
-    pub fn run(mut self) -> CloseReport {
-        loop {
-            match self.rx.recv_timeout(self.poll_interval) {
-                Ok(cmd) => self.handle(cmd),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if self.draining() {
-                self.refuse_waiters();
-            } else {
-                self.grant_next();
-            }
+    /// The admission tick, run after every command and periodically by
+    /// the server: grants free rounds to parked claimants, or refuses
+    /// them all while draining.
+    pub fn tick(&mut self) {
+        if self.draining() {
+            self.refuse_waiters();
+        } else {
+            self.grant_next();
         }
+    }
+
+    /// Ends the service once no command can arrive any more: refuses
+    /// parked claims, settles withheld acks, then flushes and
+    /// snapshots the service.
+    pub fn close(mut self) -> CloseReport {
         self.refuse_waiters();
         self.settle_acks();
         let rounds_completed = self.svc.rounds_completed();
@@ -408,38 +396,48 @@ impl ServiceActor {
         }
     }
 
-    fn handle(&mut self, cmd: Command) {
+    /// Executes one command. Returns its reply, or `None` when the
+    /// reply is deferred to the command's `reply` sender: a parked (or
+    /// just granted) `CLAIM`, a buffered future-round `PROPOSE`, or a
+    /// `FEEDBACK_OK` waiting for the commit watermark. Ends with the
+    /// admission [`tick`](ServiceActor::tick).
+    pub fn handle(&mut self, cmd: Command) -> Option<Response> {
+        let reply = self.execute(cmd);
+        self.tick();
+        reply
+    }
+
+    fn execute(&mut self, cmd: Command) -> Option<Response> {
         match cmd {
-            Command::Hello { reply } => {
+            Command::Hello => {
                 let health = self.svc.health();
-                let _ = reply.send(Response::HelloOk {
+                Some(Response::HelloOk {
                     fingerprint: health.fingerprint,
                     num_events: self.svc.service().instance().num_events() as u32,
                     dim: self.svc.service().instance().dim() as u32,
                     rounds_completed: health.rounds_completed,
                     has_pending: health.has_pending,
-                });
+                })
             }
             Command::Claim {
                 conn,
                 enqueued,
                 reply,
             } => self.handle_claim(conn, enqueued, reply),
-            Command::Release { conn, reply } => {
+            Command::Release { conn } => {
                 let Some(idx) = self.grant_index(conn) else {
                     self.metrics.protocol_errors.incr();
-                    let _ = reply.send(error_response(
+                    return Some(error_response(
                         ErrorCode::NotRoundOwner,
                         "RELEASE from a session that does not own a round",
                     ));
-                    return;
                 };
                 // The round number was promised, so the slot stays and
                 // is re-granted to the next waiter under the same `t`.
                 self.grants[idx].conn = None;
                 self.grants[idx].buffered = None;
                 self.metrics.releases.incr();
-                let _ = reply.send(Response::ReleaseOk);
+                Some(Response::ReleaseOk)
             }
             Command::Propose {
                 conn,
@@ -454,61 +452,70 @@ impl ServiceActor {
                 accepts,
                 reply,
             } => self.handle_feedback(conn, &accepts, reply),
-            Command::Stats { reply } => {
+            Command::Stats => {
                 self.metrics.stats_requests.incr();
-                let _ = reply.send(Response::StatsOk(self.wire_stats()));
+                Some(Response::StatsOk(self.wire_stats()))
             }
-            Command::Shutdown { reply } => {
+            Command::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                let _ = reply.send(Response::ShutdownOk);
-            }
-            Command::Disconnect { conn } => {
-                self.waiters.retain(|w| w.conn != conn);
-                for g in self.grants.iter_mut().filter(|g| g.conn == Some(conn)) {
-                    g.conn = None;
-                    // A buffered proposal dies with its connection: it
-                    // was never executed against the service, so the
-                    // round is simply re-granted un-proposed.
-                    g.buffered = None;
-                    self.metrics.reassigned_rounds.incr();
-                }
+                Some(Response::ShutdownOk)
             }
         }
     }
 
-    fn handle_claim(&mut self, conn: u64, enqueued: Instant, reply: Sender<Response>) {
+    /// The session's connection closed: forget its parked claims and
+    /// release every round it holds for re-grant, then run the
+    /// admission tick.
+    pub fn disconnect(&mut self, conn: u64) {
+        self.waiters.retain(|w| w.conn != conn);
+        for g in self.grants.iter_mut().filter(|g| g.conn == Some(conn)) {
+            g.conn = None;
+            // A buffered proposal dies with its connection: it was
+            // never executed against the service, so the round is
+            // simply re-granted un-proposed.
+            g.buffered = None;
+            self.metrics.reassigned_rounds.incr();
+        }
+        self.tick();
+    }
+
+    fn handle_claim(
+        &mut self,
+        conn: u64,
+        enqueued: Instant,
+        reply: Sender<Response>,
+    ) -> Option<Response> {
         if self.draining() {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::ShuttingDown,
                 "server is draining",
             ));
-            return;
         }
         if self.grant_index(conn).is_some() {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::Internal,
                 "CLAIM from a session that already holds a round",
             ));
-            return;
         }
         self.metrics.claims.incr();
         if self.waiters.len() >= self.max_inflight {
             self.metrics.overloaded.incr();
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::Overloaded,
                 format!("claim queue full ({} waiting)", self.waiters.len()),
             ));
-            return;
         }
+        // Parked in FIFO order; the grant (possibly right away, by the
+        // tick that ends `handle`) arrives on `reply`.
         self.waiters.push_back(Waiter {
             conn,
             enqueued,
             reply,
         });
-        self.grant_next();
+        None
     }
 
     /// Applies round `t`'s lifecycle actions, exactly once per round
@@ -610,14 +617,13 @@ impl ServiceActor {
         dim: u32,
         contexts: Vec<f64>,
         reply: Sender<Response>,
-    ) {
+    ) -> Option<Response> {
         let Some(idx) = self.grant_index(conn) else {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::NotRoundOwner,
                 "PROPOSE from a session that does not own a round",
             ));
-            return;
         };
         let instance = self.svc.service().instance();
         if num_events as usize != instance.num_events()
@@ -625,7 +631,7 @@ impl ServiceActor {
             || contexts.len() != (num_events as usize) * (dim as usize)
         {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::ContextShapeMismatch,
                 format!(
                     "context block is {num_events}x{dim}, instance is {}x{}",
@@ -633,7 +639,6 @@ impl ServiceActor {
                     instance.dim()
                 ),
             ));
-            return;
         }
         let user = UserArrival::new(
             user_capacity,
@@ -642,68 +647,54 @@ impl ServiceActor {
         if idx == 0 {
             // Head round: execute now, exactly as sequential admission.
             self.apply_churn(self.grants[0].t);
-            self.execute_propose(user, reply);
-            return;
+            return Some(self.execute_propose(user));
         }
         // Future round: buffer for in-order promotion. Double-propose
         // on the same grant mirrors the head's FeedbackPending error.
         if self.grants[idx].buffered.is_some() {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::FeedbackPending,
                 format!(
                     "round {} already has a buffered proposal",
                     self.grants[idx].t
                 ),
             ));
-            return;
         }
         self.grants[idx].buffered = Some(BufferedPropose { user, reply });
+        None
     }
 
-    /// Executes a proposal for the head round and replies. Shared by
-    /// the direct head-propose path and buffered-proposal promotion.
-    fn execute_propose(&mut self, user: UserArrival, reply: Sender<Response>) {
+    /// Executes a proposal for the head round and returns the reply.
+    /// Shared by the direct head-propose path and buffered-proposal
+    /// promotion.
+    fn execute_propose(&mut self, user: UserArrival) -> Response {
         let t = self.svc.rounds_completed();
         let started = Instant::now();
-        if self.svc.group_commit_enabled() {
-            match self.svc.propose_deferred(&user) {
-                Ok((arrangement, _lsn)) => {
-                    self.metrics.propose_us.observe(started.elapsed());
-                    self.metrics.proposes.incr();
-                    self.svc.drain_shard_metrics(&self.metrics);
-                    // Replied immediately: compute-then-log makes an
-                    // undurable Propose harmless (recovery re-draws it
-                    // identically), and its LSN precedes the feedback
-                    // LSN this round's completion ack will wait on.
-                    let _ = reply.send(Response::Proposed {
-                        t,
-                        arrangement: arrangement
-                            .events()
-                            .iter()
-                            .map(|v| v.index() as u32)
-                            .collect(),
-                    });
-                }
-                Err(err) => self.reply_service_error(err, &reply),
-            }
-            return;
-        }
-        match self.svc.propose(&user) {
+        // With group commit the reply does not wait for the Propose
+        // record: compute-then-log makes an undurable Propose harmless
+        // (recovery re-draws it identically), and its LSN precedes the
+        // feedback LSN this round's completion ack will wait on.
+        let proposed = if self.svc.group_commit_enabled() {
+            self.svc.propose_deferred(&user).map(|(a, _lsn)| a)
+        } else {
+            self.svc.propose(&user)
+        };
+        match proposed {
             Ok(arrangement) => {
                 self.metrics.propose_us.observe(started.elapsed());
                 self.metrics.proposes.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
-                let _ = reply.send(Response::Proposed {
+                Response::Proposed {
                     t,
                     arrangement: arrangement
                         .events()
                         .iter()
                         .map(|v| v.index() as u32)
                         .collect(),
-                });
+                }
             }
-            Err(err) => self.reply_service_error(err, &reply),
+            Err(err) => self.service_error_reply(err),
         }
     }
 
@@ -733,7 +724,8 @@ impl ServiceActor {
         };
         let t = head.t;
         self.apply_churn(t);
-        self.execute_propose(b.user, b.reply);
+        let response = self.execute_propose(b.user);
+        let _ = b.reply.send(response);
     }
 
     /// Withholds `response` until `lsn` is durable. The push-then-flush
@@ -746,29 +738,32 @@ impl ServiceActor {
         self.acks.flush(self.svc.durable_lsn());
     }
 
-    fn handle_feedback(&mut self, conn: u64, accepts: &[bool], reply: Sender<Response>) {
+    fn handle_feedback(
+        &mut self,
+        conn: u64,
+        accepts: &[bool],
+        reply: Sender<Response>,
+    ) -> Option<Response> {
         let Some(idx) = self.grant_index(conn) else {
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::NotRoundOwner,
                 "FEEDBACK from a session that does not own a round",
             ));
-            return;
         };
         if idx != 0 {
             // Only the head round can have a pending proposal in the
             // service; a future-round holder has nothing to answer yet.
             self.metrics.protocol_errors.incr();
-            let _ = reply.send(error_response(
+            return Some(error_response(
                 ErrorCode::NoPendingProposal,
                 format!("round {} is not yet active", self.grants[idx].t),
             ));
-            return;
         }
         let t = self.svc.rounds_completed();
         let started = Instant::now();
         if self.svc.group_commit_enabled() {
-            match self.svc.feedback_deferred(accepts) {
+            return match self.svc.feedback_deferred(accepts) {
                 Ok((reward, lsn)) => {
                     self.metrics.feedback_us.observe(started.elapsed());
                     self.metrics.feedbacks.incr();
@@ -782,10 +777,10 @@ impl ServiceActor {
                     self.defer_ack(lsn, reply, Response::FeedbackOk { t, reward });
                     self.maybe_snapshot();
                     self.promote_buffered();
+                    None
                 }
-                Err(err) => self.reply_service_error(err, &reply),
-            }
-            return;
+                Err(err) => Some(self.service_error_reply(err)),
+            };
         }
         match self.svc.feedback(accepts) {
             Ok(reward) => {
@@ -794,18 +789,18 @@ impl ServiceActor {
                 self.svc.drain_shard_metrics(&self.metrics);
                 self.drain_model_tier_metrics();
                 self.grants.pop_front();
-                let _ = reply.send(Response::FeedbackOk { t, reward });
                 self.maybe_snapshot();
                 self.promote_buffered();
+                Some(Response::FeedbackOk { t, reward })
             }
-            Err(err) => self.reply_service_error(err, &reply),
+            Err(err) => Some(self.service_error_reply(err)),
         }
     }
 
-    /// Replies with the typed wire error for `err`; a store-level
-    /// failure additionally poisons the actor and raises the shutdown
-    /// flag, since the WAL can no longer be trusted to advance.
-    fn reply_service_error(&mut self, err: ServiceError, reply: &Sender<Response>) {
+    /// The typed wire error for `err`; a store-level failure
+    /// additionally poisons the actor and raises the shutdown flag,
+    /// since the WAL can no longer be trusted to advance.
+    fn service_error_reply(&mut self, err: ServiceError) -> Response {
         self.metrics.protocol_errors.incr();
         if is_store_failure(&err) {
             self.poisoned = true;
@@ -820,7 +815,7 @@ impl ServiceActor {
                 "commit pipeline failed before this round reached disk",
             );
         }
-        let _ = reply.send(error_response(service_error_code(&err), err.to_string()));
+        error_response(service_error_code(&err), err.to_string())
     }
 
     fn wire_stats(&self) -> WireStats {
@@ -846,7 +841,8 @@ mod tests {
     use fasea_core::ProblemInstance;
     use fasea_sim::{DurableArrangementService, DurableOptions};
     use fasea_store::FsyncPolicy;
-    use std::sync::mpsc;
+    use std::sync::mpsc::{self, Receiver};
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -856,25 +852,15 @@ mod tests {
         dir
     }
 
-    fn spawn_actor(
-        tag: &str,
-    ) -> (
-        Sender<Command>,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<CloseReport>,
-    ) {
-        spawn_actor_with(tag, DurableOptions::new().with_fsync(FsyncPolicy::Never), 1)
+    fn new_actor(tag: &str) -> (ServiceActor, Arc<AtomicBool>) {
+        new_actor_with(tag, DurableOptions::new().with_fsync(FsyncPolicy::Never), 1)
     }
 
-    fn spawn_actor_with(
+    fn new_actor_with(
         tag: &str,
         options: DurableOptions,
         pipeline_depth: usize,
-    ) -> (
-        Sender<Command>,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<CloseReport>,
-    ) {
+    ) -> (ServiceActor, Arc<AtomicBool>) {
         let dir = temp_dir(tag);
         let instance = ProblemInstance::basic(4, 2);
         let svc = DurableArrangementService::open(
@@ -884,37 +870,85 @@ mod tests {
             options,
         )
         .unwrap();
-        let (tx, rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
         let actor = ServiceActor::new(
             svc,
-            rx,
             Arc::new(Metrics::default()),
             Arc::clone(&shutdown),
             2,
-            Duration::from_millis(10),
             pipeline_depth,
             None,
             fasea_core::ChurnSchedule::none(),
         );
-        let handle = std::thread::spawn(move || actor.run());
-        (tx, shutdown, handle)
+        (actor, shutdown)
     }
 
-    fn rpc(tx: &Sender<Command>, build: impl FnOnce(Sender<Response>) -> Command) -> Response {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        tx.send(build(reply_tx)).unwrap();
-        reply_rx.recv_timeout(Duration::from_secs(5)).unwrap()
+    /// One session: its id and the channel its deferred replies reach.
+    struct Conn {
+        id: u64,
+        tx: Sender<Response>,
+        rx: Receiver<Response>,
+    }
+
+    impl Conn {
+        fn new(id: u64) -> Self {
+            let (tx, rx) = mpsc::channel();
+            Conn { id, tx, rx }
+        }
+
+        fn claim(&self) -> Command {
+            Command::Claim {
+                conn: self.id,
+                enqueued: Instant::now(),
+                reply: self.tx.clone(),
+            }
+        }
+
+        fn propose(&self, cell: f64) -> Command {
+            Command::Propose {
+                conn: self.id,
+                user_capacity: 1,
+                num_events: 4,
+                dim: 2,
+                contexts: vec![cell; 8],
+                reply: self.tx.clone(),
+            }
+        }
+
+        fn feedback(&self, accepts: Vec<bool>) -> Command {
+            Command::Feedback {
+                conn: self.id,
+                accepts,
+                reply: self.tx.clone(),
+            }
+        }
+
+        /// The next deferred reply.
+        fn deferred(&self) -> Response {
+            self.rx.recv_timeout(Duration::from_secs(5)).unwrap()
+        }
+
+        /// Whether a deferred reply is waiting.
+        fn has_reply(&self) -> bool {
+            self.rx.try_recv().is_ok()
+        }
+
+        /// Runs `cmd` for this session and returns its reply, immediate
+        /// or deferred — what the worker writes back.
+        fn call(&self, actor: &mut ServiceActor, cmd: Command) -> Response {
+            actor.handle(cmd).unwrap_or_else(|| self.deferred())
+        }
+    }
+
+    fn is_error(resp: &Response, want: ErrorCode) -> bool {
+        matches!(resp, Response::Error { code, .. } if *code == want)
     }
 
     #[test]
     fn claim_propose_feedback_cycle_and_ownership() {
-        let (tx, _shutdown, handle) = spawn_actor("cycle");
-        let granted = rpc(&tx, |reply| Command::Claim {
-            conn: 1,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let (mut actor, _shutdown) = new_actor("cycle");
+        let (owner, stranger) = (Conn::new(1), Conn::new(2));
+        let granted = owner.call(&mut actor, owner.claim());
         assert_eq!(
             granted,
             Response::Claimed {
@@ -923,42 +957,20 @@ mod tests {
             }
         );
         // A stranger may not propose.
-        let resp = rpc(&tx, |reply| Command::Propose {
-            conn: 2,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.5; 8],
-            reply,
-        });
-        assert!(
-            matches!(&resp, Response::Error { code, .. } if *code == ErrorCode::NotRoundOwner),
-            "{resp:?}"
-        );
+        let resp = stranger.call(&mut actor, stranger.propose(0.5));
+        assert!(is_error(&resp, ErrorCode::NotRoundOwner), "{resp:?}");
         // The owner proposes and answers feedback.
-        let resp = rpc(&tx, |reply| Command::Propose {
-            conn: 1,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.5; 8],
-            reply,
-        });
+        let resp = owner.call(&mut actor, owner.propose(0.5));
         let arrangement = match resp {
             Response::Proposed { t: 0, arrangement } => arrangement,
             other => panic!("{other:?}"),
         };
-        let resp = rpc(&tx, |reply| Command::Feedback {
-            conn: 1,
-            accepts: vec![true; arrangement.len()],
-            reply,
-        });
+        let resp = owner.call(&mut actor, owner.feedback(vec![true; arrangement.len()]));
         assert!(
             matches!(resp, Response::FeedbackOk { t: 0, .. }),
             "{resp:?}"
         );
-        drop(tx);
-        let report = handle.join().unwrap();
+        let report = actor.close();
         assert_eq!(report.rounds_completed, 1);
         assert!(report.error.is_none());
         assert!(report.snapshot.is_some());
@@ -966,32 +978,22 @@ mod tests {
 
     #[test]
     fn group_commit_defers_acks_until_durable() {
-        let (tx, _shutdown, handle) = spawn_actor_with(
+        let (mut actor, _shutdown) = new_actor_with(
             "group-acks",
             DurableOptions::new()
                 .with_fsync(FsyncPolicy::Always)
                 .with_group_commit(true),
             1,
         );
-        // Rounds still ack in order and carry the right round indices;
-        // each blocking rpc() below only returns once the commit syncer
-        // (or the actor's own flush) released the deferred reply, so
-        // completing all of them proves acks are never stranded.
+        let conn = Conn::new(1);
+        // Rounds still ack in order and carry the right round indices.
+        // Each FEEDBACK_OK is withheld by `handle` and only arrives once
+        // the commit syncer (or the actor's own flush) released it, so
+        // receiving all of them proves acks are never stranded.
         for t in 0..5u64 {
-            let granted = rpc(&tx, |reply| Command::Claim {
-                conn: 1,
-                enqueued: Instant::now(),
-                reply,
-            });
+            let granted = conn.call(&mut actor, conn.claim());
             assert!(matches!(granted, Response::Claimed { .. }), "{granted:?}");
-            let resp = rpc(&tx, |reply| Command::Propose {
-                conn: 1,
-                user_capacity: 1,
-                num_events: 4,
-                dim: 2,
-                contexts: vec![0.5; 8],
-                reply,
-            });
+            let resp = conn.call(&mut actor, conn.propose(0.5));
             let arrangement = match resp {
                 Response::Proposed {
                     t: got,
@@ -999,90 +1001,59 @@ mod tests {
                 } if got == t => arrangement,
                 other => panic!("{other:?}"),
             };
-            let resp = rpc(&tx, |reply| Command::Feedback {
-                conn: 1,
-                accepts: vec![true; arrangement.len()],
-                reply,
-            });
+            let immediate = actor.handle(conn.feedback(vec![true; arrangement.len()]));
+            assert_eq!(immediate, None, "FEEDBACK_OK must wait for the watermark");
+            let resp = conn.deferred();
             assert!(
                 matches!(&resp, Response::FeedbackOk { t: got, .. } if *got == t),
                 "{resp:?}"
             );
         }
-        drop(tx);
-        let report = handle.join().unwrap();
+        let report = actor.close();
         assert_eq!(report.rounds_completed, 5);
         assert!(report.error.is_none(), "{:?}", report.error);
     }
 
     #[test]
     fn overload_and_disconnect_reassignment() {
-        let (tx, _shutdown, handle) = spawn_actor("overload");
+        let (mut actor, _shutdown) = new_actor("overload");
+        let conns: Vec<Conn> = (1..=4).map(Conn::new).collect();
         // conn 1 owns the round; conns 2 and 3 fill the wait queue
         // (max_inflight = 2); conn 4 is refused.
-        let r1 = rpc(&tx, |reply| Command::Claim {
-            conn: 1,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let r1 = conns[0].call(&mut actor, conns[0].claim());
         assert!(matches!(r1, Response::Claimed { .. }));
-        let (w2_tx, w2_rx) = mpsc::channel();
-        tx.send(Command::Claim {
-            conn: 2,
-            enqueued: Instant::now(),
-            reply: w2_tx,
-        })
-        .unwrap();
-        let (w3_tx, w3_rx) = mpsc::channel();
-        tx.send(Command::Claim {
-            conn: 3,
-            enqueued: Instant::now(),
-            reply: w3_tx,
-        })
-        .unwrap();
-        // Let the actor park both waiters before overflowing.
-        std::thread::sleep(Duration::from_millis(50));
-        let r4 = rpc(&tx, |reply| Command::Claim {
-            conn: 4,
-            enqueued: Instant::now(),
-            reply,
-        });
-        assert!(
-            matches!(&r4, Response::Error { code, .. } if *code == ErrorCode::Overloaded),
-            "{r4:?}"
-        );
+        assert_eq!(actor.handle(conns[1].claim()), None);
+        assert_eq!(actor.handle(conns[2].claim()), None);
+        let r4 = conns[3].call(&mut actor, conns[3].claim());
+        assert!(is_error(&r4, ErrorCode::Overloaded), "{r4:?}");
         // Owner disconnects: the round passes to conn 2, then a release
         // passes it to conn 3.
-        tx.send(Command::Disconnect { conn: 1 }).unwrap();
-        let g2 = w2_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        actor.disconnect(1);
         assert_eq!(
-            g2,
+            conns[1].deferred(),
             Response::Claimed {
                 t: 0,
                 pending: None
             }
         );
-        let rel = rpc(&tx, |reply| Command::Release { conn: 2, reply });
+        assert!(!conns[2].has_reply(), "conn 3 granted ahead of its turn");
+        let rel = conns[1].call(&mut actor, Command::Release { conn: 2 });
         assert_eq!(rel, Response::ReleaseOk);
-        let g3 = w3_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let g3 = conns[2].deferred();
         assert!(matches!(g3, Response::Claimed { .. }), "{g3:?}");
-        drop(tx);
-        handle.join().unwrap();
+        actor.close();
     }
 
     #[test]
     fn pipelined_admission_promotes_buffered_proposals_in_order() {
-        let (tx, _shutdown, handle) = spawn_actor_with(
+        let (mut actor, _shutdown) = new_actor_with(
             "pipelined",
             DurableOptions::new().with_fsync(FsyncPolicy::Never),
             2,
         );
+        let (c1, c2) = (Conn::new(1), Conn::new(2));
         // Both rounds granted concurrently, in round order.
-        let g1 = rpc(&tx, |reply| Command::Claim {
-            conn: 1,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let g1 = c1.call(&mut actor, c1.claim());
         assert_eq!(
             g1,
             Response::Claimed {
@@ -1090,11 +1061,7 @@ mod tests {
                 pending: None
             }
         );
-        let g2 = rpc(&tx, |reply| Command::Claim {
-            conn: 2,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let g2 = c2.call(&mut actor, c2.claim());
         assert_eq!(
             g2,
             Response::Claimed {
@@ -1103,124 +1070,61 @@ mod tests {
             }
         );
         // A future-round holder has nothing to answer yet.
-        let early = rpc(&tx, |reply| Command::Feedback {
-            conn: 2,
-            accepts: vec![true],
-            reply,
-        });
-        assert!(
-            matches!(&early, Response::Error { code, .. } if *code == ErrorCode::NoPendingProposal),
-            "{early:?}"
-        );
+        let early = c2.call(&mut actor, c2.feedback(vec![true]));
+        assert!(is_error(&early, ErrorCode::NoPendingProposal), "{early:?}");
         // Round 1's proposal arrives before round 0 even proposed: it
         // is buffered, with the reply withheld until promotion.
-        let (p2_tx, p2_rx) = mpsc::channel();
-        tx.send(Command::Propose {
-            conn: 2,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.25; 8],
-            reply: p2_tx,
-        })
-        .unwrap();
+        assert_eq!(actor.handle(c2.propose(0.25)), None);
         // A second early proposal on the same grant is refused.
-        let dup = rpc(&tx, |reply| Command::Propose {
-            conn: 2,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.25; 8],
-            reply,
-        });
+        let dup = actor.handle(c2.propose(0.25)).expect("refused at once");
+        assert!(is_error(&dup, ErrorCode::FeedbackPending), "{dup:?}");
         assert!(
-            matches!(&dup, Response::Error { code, .. } if *code == ErrorCode::FeedbackPending),
-            "{dup:?}"
-        );
-        assert!(
-            p2_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            !c2.has_reply(),
             "buffered proposal must not execute before its round"
         );
         // Head round runs; its feedback promotes the buffered proposal.
-        let resp = rpc(&tx, |reply| Command::Propose {
-            conn: 1,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.5; 8],
-            reply,
-        });
+        let resp = c1.call(&mut actor, c1.propose(0.5));
         let arrangement = match resp {
             Response::Proposed { t: 0, arrangement } => arrangement,
             other => panic!("{other:?}"),
         };
-        let resp = rpc(&tx, |reply| Command::Feedback {
-            conn: 1,
-            accepts: vec![true; arrangement.len()],
-            reply,
-        });
+        let resp = c1.call(&mut actor, c1.feedback(vec![true; arrangement.len()]));
         assert!(
             matches!(resp, Response::FeedbackOk { t: 0, .. }),
             "{resp:?}"
         );
-        let promoted = p2_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let arrangement = match promoted {
+        let arrangement = match c2.deferred() {
             Response::Proposed { t: 1, arrangement } => arrangement,
             other => panic!("{other:?}"),
         };
-        let resp = rpc(&tx, |reply| Command::Feedback {
-            conn: 2,
-            accepts: vec![true; arrangement.len()],
-            reply,
-        });
+        let resp = c2.call(&mut actor, c2.feedback(vec![true; arrangement.len()]));
         assert!(
             matches!(resp, Response::FeedbackOk { t: 1, .. }),
             "{resp:?}"
         );
-        drop(tx);
-        let report = handle.join().unwrap();
+        let report = actor.close();
         assert_eq!(report.rounds_completed, 2);
         assert!(report.error.is_none());
     }
 
     #[test]
     fn disconnected_future_grant_is_regranted_unproposed() {
-        let (tx, _shutdown, handle) = spawn_actor_with(
+        let (mut actor, _shutdown) = new_actor_with(
             "future-drop",
             DurableOptions::new().with_fsync(FsyncPolicy::Never),
             2,
         );
-        let g1 = rpc(&tx, |reply| Command::Claim {
-            conn: 1,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let (c1, c2, c3) = (Conn::new(1), Conn::new(2), Conn::new(3));
+        let g1 = c1.call(&mut actor, c1.claim());
         assert!(matches!(g1, Response::Claimed { t: 0, .. }));
-        let g2 = rpc(&tx, |reply| Command::Claim {
-            conn: 2,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let g2 = c2.call(&mut actor, c2.claim());
         assert!(matches!(g2, Response::Claimed { t: 1, .. }));
         // conn 2 buffers a proposal, then dies: the slot is re-granted
         // under the same round number and the buffered proposal is
         // discarded with its connection.
-        let (p2_tx, _p2_rx) = mpsc::channel();
-        tx.send(Command::Propose {
-            conn: 2,
-            user_capacity: 1,
-            num_events: 4,
-            dim: 2,
-            contexts: vec![0.25; 8],
-            reply: p2_tx,
-        })
-        .unwrap();
-        tx.send(Command::Disconnect { conn: 2 }).unwrap();
-        let g3 = rpc(&tx, |reply| Command::Claim {
-            conn: 3,
-            enqueued: Instant::now(),
-            reply,
-        });
+        assert_eq!(actor.handle(c2.propose(0.25)), None);
+        actor.disconnect(2);
+        let g3 = c3.call(&mut actor, c3.claim());
         assert_eq!(
             g3,
             Response::Claimed {
@@ -1230,67 +1134,55 @@ mod tests {
         );
         // Both rounds complete normally, with different contexts for
         // round 1 than the dropped proposal carried.
-        for (conn, contexts) in [(1u64, vec![0.5; 8]), (3, vec![0.75; 8])] {
-            let resp = rpc(&tx, |reply| Command::Propose {
-                conn,
-                user_capacity: 1,
-                num_events: 4,
-                dim: 2,
-                contexts,
-                reply,
-            });
+        for (conn, cell) in [(&c1, 0.5), (&c3, 0.75)] {
+            let resp = conn.call(&mut actor, conn.propose(cell));
             let arrangement = match resp {
                 Response::Proposed { arrangement, .. } => arrangement,
                 other => panic!("{other:?}"),
             };
-            let resp = rpc(&tx, |reply| Command::Feedback {
-                conn,
-                accepts: vec![true; arrangement.len()],
-                reply,
-            });
+            let resp = conn.call(&mut actor, conn.feedback(vec![true; arrangement.len()]));
             assert!(matches!(resp, Response::FeedbackOk { .. }), "{resp:?}");
         }
-        drop(tx);
-        let report = handle.join().unwrap();
+        assert!(!c2.has_reply(), "the dropped proposal was executed");
+        let report = actor.close();
         assert_eq!(report.rounds_completed, 2);
         assert!(report.error.is_none());
     }
 
     #[test]
     fn shutdown_drains_waiters() {
-        let (tx, shutdown, handle) = spawn_actor("drain");
-        let r1 = rpc(&tx, |reply| Command::Claim {
-            conn: 1,
-            enqueued: Instant::now(),
-            reply,
-        });
+        let (mut actor, shutdown) = new_actor("drain");
+        let (c1, c2, c3) = (Conn::new(1), Conn::new(2), Conn::new(3));
+        let r1 = c1.call(&mut actor, c1.claim());
         assert!(matches!(r1, Response::Claimed { .. }));
-        let (w2_tx, w2_rx) = mpsc::channel();
-        tx.send(Command::Claim {
-            conn: 2,
-            enqueued: Instant::now(),
-            reply: w2_tx,
-        })
-        .unwrap();
-        let r = rpc(&tx, |reply| Command::Shutdown { reply });
-        assert_eq!(r, Response::ShutdownOk);
+        assert_eq!(actor.handle(c2.claim()), None);
+        let r = actor.handle(Command::Shutdown);
+        assert_eq!(r, Some(Response::ShutdownOk));
         assert!(shutdown.load(Ordering::SeqCst));
-        let g2 = w2_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(
-            matches!(&g2, Response::Error { code, .. } if *code == ErrorCode::ShuttingDown),
-            "{g2:?}"
-        );
+        let g2 = c2.deferred();
+        assert!(is_error(&g2, ErrorCode::ShuttingDown), "{g2:?}");
         // New claims are refused while draining.
-        let r3 = rpc(&tx, |reply| Command::Claim {
-            conn: 3,
-            enqueued: Instant::now(),
-            reply,
-        });
-        assert!(
-            matches!(&r3, Response::Error { code, .. } if *code == ErrorCode::ShuttingDown),
-            "{r3:?}"
-        );
-        drop(tx);
-        handle.join().unwrap();
+        let r3 = c3.call(&mut actor, c3.claim());
+        assert!(is_error(&r3, ErrorCode::ShuttingDown), "{r3:?}");
+        actor.close();
+    }
+
+    #[test]
+    fn tick_refuses_waiters_once_shutdown_is_raised_outside() {
+        // The server's own shutdown flag (not the SHUTDOWN verb): the
+        // accept loop's periodic tick is what answers parked claims.
+        let (mut actor, shutdown) = new_actor("drain-tick");
+        let (c1, c2) = (Conn::new(1), Conn::new(2));
+        assert!(matches!(
+            c1.call(&mut actor, c1.claim()),
+            Response::Claimed { .. }
+        ));
+        assert_eq!(actor.handle(c2.claim()), None);
+        shutdown.store(true, Ordering::SeqCst);
+        assert!(!c2.has_reply());
+        actor.tick();
+        let g2 = c2.deferred();
+        assert!(is_error(&g2, ErrorCode::ShuttingDown), "{g2:?}");
+        actor.close();
     }
 }

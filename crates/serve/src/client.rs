@@ -248,8 +248,7 @@ impl ServeClient {
             .stream
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "not connected"))?;
-        write_raw_frame(&mut *stream, payload)?;
-        stream.flush()?;
+        send_frame(stream, payload)?;
         let mut tmp = [0u8; 8192];
         loop {
             match parse_raw_frame(&self.buf) {
@@ -362,4 +361,42 @@ impl ServeClient {
 
 fn unexpected(response: Response) -> ClientError {
     ClientError::Unexpected(response.verb_name())
+}
+
+/// Writes one request frame in one write.
+fn send_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    write_raw_frame(w, payload)?;
+    w.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::decode_request;
+    use fasea_store::CountingWriter;
+
+    #[test]
+    fn a_request_reaches_the_socket_in_one_write() {
+        // A paper-size PROPOSE: 500 events × 20 dimensions, ~80 KB.
+        let request = Request::Propose {
+            user_capacity: 3,
+            num_events: 500,
+            dim: 20,
+            contexts: (0..500 * 20).map(|i| i as f64 * 0.5).collect(),
+        };
+        for (id, request) in [request, Request::Claim].iter().enumerate() {
+            let payload = encode_request(id as u64, request);
+            let mut sink = CountingWriter::new(Vec::new());
+            send_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.calls(), 1);
+            let FrameParse::Frame { payload, consumed } = parse_raw_frame(sink.get_ref()) else {
+                panic!("request is not one whole frame");
+            };
+            assert_eq!(consumed, sink.get_ref().len());
+            assert_eq!(
+                decode_request(&payload).unwrap(),
+                (id as u64, request.clone())
+            );
+        }
+    }
 }

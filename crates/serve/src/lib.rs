@@ -11,11 +11,13 @@
 //! protocol in front of a **single-writer actor**:
 //!
 //! * [`server::Server`] binds a listener and spawns a worker pool; each
-//!   worker handles connection I/O, framing, decode/validation, and
-//!   encode for one connection at a time;
-//! * the [`actor::ServiceActor`] thread exclusively owns the
+//!   worker handles connection I/O, framing, decode/validation, the
+//!   command itself, and encode for one connection at a time;
+//! * the [`actor::ServiceActor`] state machine exclusively owns the
 //!   [`fasea_sim::DurableArrangementService`] and executes rounds
-//!   strictly sequentially; round ownership moves between sessions via
+//!   strictly sequentially: it sits behind one `Mutex`, and each worker
+//!   runs the command it decoded on its own thread (there is no actor
+//!   thread); round ownership moves between sessions via
 //!   `CLAIM`/`RELEASE`, with a bounded wait queue as the backpressure
 //!   point (typed `Overloaded` on overflow);
 //! * frames reuse the WAL's on-disk convention — `len | crc | payload`,

@@ -5,20 +5,25 @@
 //! inside a single owning `std::thread`):
 //!
 //! ```text
-//!             accept loop (non-blocking poll)
-//!                  │ TcpStream
+//!             accept loop (non-blocking poll)  ── also the admission
+//!                  │ TcpStream                    tick every poll
 //!                  ▼
 //!            ConnQueue (Mutex + Condvar, bounded)
 //!        ┌────────┼────────┐
 //!        ▼        ▼        ▼
 //!     worker 0 worker 1 … worker N-1      ── frame I/O, decode,
-//!        │        │        │                 validation, encode
-//!        └───────►┴◄───────┘
-//!             mpsc::Sender<Command>
-//!                  ▼
-//!            service actor (1 thread)     ── owns DurableArrangementService,
+//!        │        │        │                 validation, encode, and
+//!        └───────►┴◄───────┘                 the command itself
+//!           Mutex<ServiceActor>           ── owns DurableArrangementService,
 //!                                            strictly sequential rounds
 //! ```
+//!
+//! A worker runs each decoded command on its own thread under the
+//! actor's lock and writes the reply straight back. It blocks only when
+//! the reply is deferred — a parked `CLAIM`, a buffered future-round
+//! `PROPOSE`, or a `FEEDBACK_OK` waiting for the commit watermark — and
+//! then waits on its connection's reply channel, which the grant path
+//! or the commit syncer's ack flush feeds.
 //!
 //! Each worker serves one connection at a time for that connection's
 //! whole life; connections beyond the pool wait in the queue (and
@@ -30,7 +35,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,10 +61,11 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Close a connection after this long with no complete frame.
     pub idle_timeout: Duration,
-    /// How long a worker waits for the actor to answer one command
-    /// (covers the parked-claim wait).
+    /// How long a worker waits for a deferred reply (covers the
+    /// parked-claim wait).
     pub claim_wait_timeout: Duration,
-    /// Poll granularity for non-blocking accept and timed reads.
+    /// Poll granularity for non-blocking accept, the admission tick
+    /// and timed reads.
     pub poll_interval: Duration,
     /// Period of the operational log line (`None` disables it).
     pub stats_interval: Option<Duration>,
@@ -249,25 +255,21 @@ fn run_server(
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
 ) -> ServeReport {
-    let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-    let actor = ServiceActor::new(
+    let actor = Mutex::new(ServiceActor::new(
         svc,
-        cmd_rx,
         Arc::clone(&metrics),
         Arc::clone(&shutdown),
         config.max_inflight,
-        config.poll_interval,
         config.pipeline_depth,
         config.snapshot_every_rounds,
         config.churn.clone(),
-    );
+    ));
     let queue = ConnQueue::new(config.conn_backlog);
     let conn_ids = AtomicU64::new(1);
 
-    let close = crossbeam::thread::scope(|s| {
-        let actor_handle = s.spawn(|_| actor.run());
+    crossbeam::thread::scope(|s| {
         for _ in 0..config.workers.max(1) {
-            let cmd_tx = cmd_tx.clone();
+            let actor = &actor;
             let queue = &queue;
             let conn_ids = &conn_ids;
             let config = &config;
@@ -276,8 +278,8 @@ fn run_server(
             s.spawn(move |_| {
                 while let Some(stream) = queue.pop() {
                     let conn = conn_ids.fetch_add(1, Ordering::Relaxed);
-                    serve_connection(stream, conn, &cmd_tx, config, metrics, shutdown);
-                    let _ = cmd_tx.send(Command::Disconnect { conn });
+                    serve_connection(stream, conn, actor, config, metrics, shutdown);
+                    lock(actor).disconnect(conn);
                     metrics.connections_closed.incr();
                 }
             });
@@ -299,6 +301,7 @@ fn run_server(
                 }
                 Err(_) => std::thread::sleep(config.poll_interval),
             }
+            lock(&actor).tick();
             if let Some(interval) = config.stats_interval {
                 if last_stats.elapsed() >= interval {
                     eprintln!("[fasea-serve] {}", metrics.log_line());
@@ -307,11 +310,19 @@ fn run_server(
             }
         }
         queue.close();
-        drop(cmd_tx);
-        actor_handle.join().expect("actor thread panicked")
+        // Draining from here: refuse every parked claim (a claim
+        // arriving later is refused on the spot).
+        lock(&actor).tick();
     })
     .expect("server scope panicked");
-    ServeReport { close }
+    let actor = actor.into_inner().expect("service actor poisoned");
+    ServeReport {
+        close: actor.close(),
+    }
+}
+
+fn lock(actor: &Mutex<ServiceActor>) -> std::sync::MutexGuard<'_, ServiceActor> {
+    actor.lock().expect("service actor poisoned")
 }
 
 /// Per-session state tracked by the worker.
@@ -320,6 +331,10 @@ struct Session {
     /// Whether this session currently owns the in-flight round (set by
     /// `CLAIMED`, cleared by `FEEDBACK_OK` / `RELEASE_OK`).
     owns_round: bool,
+    /// Deferred replies for this session arrive here; the sender half
+    /// rides each command that may defer.
+    reply_tx: Sender<Response>,
+    reply_rx: Receiver<Response>,
 }
 
 enum After {
@@ -330,7 +345,7 @@ enum After {
 fn serve_connection(
     mut stream: TcpStream,
     conn: u64,
-    cmd_tx: &Sender<Command>,
+    actor: &Mutex<ServiceActor>,
     config: &ServerConfig,
     metrics: &Metrics,
     shutdown: &AtomicBool,
@@ -341,9 +356,12 @@ fn serve_connection(
     {
         return;
     }
+    let (reply_tx, reply_rx) = mpsc::channel();
     let mut session = Session {
         conn,
         owns_round: false,
+        reply_tx,
+        reply_rx,
     };
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut tmp = [0u8; 8192];
@@ -360,7 +378,7 @@ fn serve_connection(
                     &payload,
                     &mut stream,
                     &mut session,
-                    cmd_tx,
+                    actor,
                     config,
                     metrics,
                     shutdown,
@@ -439,7 +457,7 @@ fn handle_payload(
     payload: &[u8],
     stream: &mut TcpStream,
     session: &mut Session,
-    cmd_tx: &Sender<Command>,
+    actor: &Mutex<ServiceActor>,
     config: &ServerConfig,
     metrics: &Metrics,
     shutdown: &AtomicBool,
@@ -494,14 +512,14 @@ fn handle_payload(
         };
     }
 
-    let (reply_tx, reply_rx) = mpsc::channel();
     let conn = session.conn;
+    let reply = || session.reply_tx.clone();
     let command = match request {
-        Request::Hello { .. } => Command::Hello { reply: reply_tx },
+        Request::Hello { .. } => Command::Hello,
         Request::Claim => Command::Claim {
             conn,
             enqueued: Instant::now(),
-            reply: reply_tx,
+            reply: reply(),
         },
         Request::Propose {
             user_capacity,
@@ -514,49 +532,37 @@ fn handle_payload(
             num_events,
             dim,
             contexts,
-            reply: reply_tx,
+            reply: reply(),
         },
         Request::Feedback { accepts } => Command::Feedback {
             conn,
             accepts,
-            reply: reply_tx,
+            reply: reply(),
         },
-        Request::Release => Command::Release {
-            conn,
-            reply: reply_tx,
-        },
-        Request::Stats => Command::Stats { reply: reply_tx },
-        Request::Shutdown => Command::Shutdown { reply: reply_tx },
+        Request::Release => Command::Release { conn },
+        Request::Stats => Command::Stats,
+        Request::Shutdown => Command::Shutdown,
     };
-    if cmd_tx.send(command).is_err() {
-        // Actor is gone (fatal store error during drain): tell the
-        // client and hang up.
-        let _ = send_response(
-            stream,
-            request_id,
-            &Response::Error {
-                code: ErrorCode::ShuttingDown,
-                detail: "service actor stopped".into(),
-            },
-        );
-        return After::Close;
-    }
-    let response = match reply_rx.recv_timeout(config.claim_wait_timeout) {
-        Ok(resp) => resp,
-        Err(_) => {
-            // Either the claim outlived its patience budget or the
-            // actor died mid-request. Closing sends Disconnect, which
-            // reclaims anything granted to us after we stopped waiting.
-            let _ = send_response(
-                stream,
-                request_id,
-                &Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: "request timed out inside the server".into(),
-                },
-            );
-            return After::Close;
-        }
+    let immediate = lock(actor).handle(command);
+    let response = match immediate {
+        Some(resp) => resp,
+        None => match session.reply_rx.recv_timeout(config.claim_wait_timeout) {
+            Ok(resp) => resp,
+            Err(_) => {
+                // The claim outlived its patience budget. Closing
+                // disconnects the session, which reclaims anything
+                // granted to us after we stopped waiting.
+                let _ = send_response(
+                    stream,
+                    request_id,
+                    &Response::Error {
+                        code: ErrorCode::Internal,
+                        detail: "request timed out inside the server".into(),
+                    },
+                );
+                return After::Close;
+            }
+        },
     };
     match &response {
         Response::Claimed { .. } => session.owns_round = true,
@@ -569,8 +575,44 @@ fn handle_payload(
     }
 }
 
-fn send_response(stream: &mut TcpStream, request_id: u64, response: &Response) -> io::Result<()> {
+/// Encodes `response` and writes it as one frame in one write.
+fn send_response<W: Write>(stream: &mut W, request_id: u64, response: &Response) -> io::Result<()> {
     let payload = encode_response(request_id, response);
     write_raw_frame(stream, &payload)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::decode_response;
+    use fasea_store::CountingWriter;
+
+    #[test]
+    fn a_reply_reaches_the_socket_in_one_write() {
+        let responses = [
+            Response::Proposed {
+                t: 4,
+                arrangement: (0..40).collect(),
+            },
+            Response::FeedbackOk { t: 4, reward: 3 },
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                detail: "claim queue full".into(),
+            },
+        ];
+        for (id, response) in responses.iter().enumerate() {
+            let mut sink = CountingWriter::new(Vec::new());
+            send_response(&mut sink, id as u64, response).unwrap();
+            assert_eq!(sink.calls(), 1, "{response:?}");
+            let FrameParse::Frame { payload, consumed } = parse_raw_frame(sink.get_ref()) else {
+                panic!("reply is not one whole frame");
+            };
+            assert_eq!(consumed, sink.get_ref().len());
+            assert_eq!(
+                decode_response(&payload).unwrap(),
+                (id as u64, response.clone())
+            );
+        }
+    }
 }

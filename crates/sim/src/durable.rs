@@ -217,6 +217,16 @@ impl WalBackend {
         }
     }
 
+    /// Like [`append`](WalBackend::append), for a record nobody waits
+    /// on: under `Grouped` it is fsynced with the next record someone
+    /// does wait on (or on demand by `wait_durable`), not on its own.
+    fn append_unawaited(&mut self, record: Record) -> Result<u64, StoreError> {
+        match self {
+            WalBackend::Direct(w) => w.append(&record),
+            WalBackend::Grouped(g) => g.append_unawaited(record),
+        }
+    }
+
     /// The LSN the next append will receive.
     fn next_seq(&self) -> u64 {
         match self {
@@ -461,6 +471,12 @@ impl DurableArrangementService {
     /// compute-then-log and the policy's RNG position is recovered from
     /// the log, so replay re-draws the identical proposal.
     ///
+    /// With group commit nobody waits on the record itself, so it is
+    /// fsynced together with the round's `Feedback` (or the next record
+    /// anyone waits on) rather than on its own; a
+    /// [`wait_durable`](DurableArrangementService::wait_durable) on the
+    /// returned LSN forces it out.
+    ///
     /// # Errors
     /// As [`propose`](DurableArrangementService::propose).
     pub fn propose_deferred(
@@ -479,7 +495,7 @@ impl DurableArrangementService {
             contexts,
             arrangement: arrangement.iter().map(|v| v.index() as u32).collect(),
         };
-        let lsn = self.wal.append(record)?;
+        let lsn = self.wal.append_unawaited(record)?;
         Ok((arrangement, lsn))
     }
 
@@ -1312,6 +1328,31 @@ mod tests {
         let svc = DurableArrangementService::open(&dir, instance(), ts_policy(), opts).unwrap();
         assert_eq!(svc.rounds_completed(), 30);
         assert_eq!(svc.service().policy().save_state(), reference_state);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn blocking_propose_under_group_commit_returns_durable() {
+        // `propose` appends a record nobody else waits on; its own wait
+        // must force the fsync instead of hanging for a feedback.
+        let dir = tmp("gc-blocking-propose");
+        let opts = DurableOptions::new()
+            .with_fsync(FsyncPolicy::Always)
+            .with_group_commit(true);
+        let mut svc = DurableArrangementService::open(&dir, instance(), ts_policy(), opts).unwrap();
+        for round in 0..3 {
+            let a = svc.propose(&arrival(round)).unwrap();
+            assert_eq!(svc.durable_lsn(), svc.next_seq(), "round {round}");
+            svc.feedback(&accepts_for(round, &a)).unwrap();
+            assert_eq!(svc.durable_lsn(), svc.next_seq(), "round {round}");
+        }
+        // A deferred proposal alone stays unpublished until waited on.
+        let (_, lsn) = svc.propose_deferred(&arrival(3)).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(svc.durable_lsn(), lsn);
+        svc.wait_durable(lsn).unwrap();
+        assert_eq!(svc.durable_lsn(), lsn + 1);
+        svc.close().unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Fault injection for crash-recovery tests.
 //!
-//! Two tools:
+//! Three tools:
 //!
 //! * [`FaultFile`] mutates files on disk the way real failures do —
 //!   torn writes (the file ends mid-record), bit flips (a storage or
@@ -9,13 +9,17 @@
 //!   bytes per call, optionally splitting a read at one chosen absolute
 //!   offset — exercising the (easy to get wrong) partial-read handling
 //!   of decode paths.
+//! * [`CountingWriter`] wraps any [`Write`] and counts the calls that
+//!   reach it — each one a `write(2)`/`writev(2)` on a socket or file —
+//!   optionally accepting at most `max_chunk` bytes per call to
+//!   exercise partial-write handling.
 //!
 //! Everything here is test infrastructure, but it lives in the library
 //! (not `#[cfg(test)]`) so downstream crates — `fasea-sim`'s recovery
 //! tests, the integration crash matrix — can drive the same faults.
 
 use std::fs::{self, OpenOptions};
-use std::io::{self, Read};
+use std::io::{self, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Handle for injecting storage faults into one file.
@@ -141,6 +145,80 @@ impl<R: Read> Read for ShortReader<R> {
         let n = self.inner.read(&mut buf[..limit])?;
         self.position += n as u64;
         Ok(n)
+    }
+}
+
+/// A [`Write`] adapter that counts the `write` and `write_vectored`
+/// calls reaching it. Framing code that must hand each frame to the
+/// sink in one call is checked with it; a cap set by
+/// [`with_max_chunk`](CountingWriter::with_max_chunk) makes every call
+/// accept at most that many bytes, as a socket under pressure may.
+#[derive(Debug)]
+pub struct CountingWriter<W> {
+    inner: W,
+    calls: usize,
+    max_chunk: usize,
+}
+
+impl<W: Write> CountingWriter<W> {
+    /// Wraps `inner`, accepting whole buffers.
+    pub fn new(inner: W) -> Self {
+        CountingWriter {
+            inner,
+            calls: 0,
+            max_chunk: usize::MAX,
+        }
+    }
+
+    /// Accepts at most `max_chunk` bytes (≥ 1) per call.
+    pub fn with_max_chunk(mut self, max_chunk: usize) -> Self {
+        assert!(max_chunk >= 1, "max_chunk must be at least 1");
+        self.max_chunk = max_chunk;
+        self
+    }
+
+    /// `write` plus `write_vectored` calls so far.
+    pub fn calls(&self) -> usize {
+        self.calls
+    }
+
+    /// The wrapped writer.
+    pub fn get_ref(&self) -> &W {
+        &self.inner
+    }
+
+    /// Unwraps the writer.
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+impl<W: Write> Write for CountingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.calls += 1;
+        let n = buf.len().min(self.max_chunk);
+        self.inner.write_all(&buf[..n])?;
+        Ok(n)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.calls += 1;
+        let mut budget = self.max_chunk;
+        let mut written = 0;
+        for buf in bufs {
+            let n = buf.len().min(budget);
+            self.inner.write_all(&buf[..n])?;
+            written += n;
+            budget -= n;
+            if budget == 0 {
+                break;
+            }
+        }
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 }
 

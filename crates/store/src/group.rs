@@ -11,9 +11,9 @@
 //!   will give it), pushes it onto an in-memory commit queue and
 //!   returns immediately.
 //! * **Syncer** (one dedicated thread, owns the `Wal`): drains the
-//!   whole queue, writes every record via
-//!   [`Wal::append_unsynced`](crate::wal::Wal::append_unsynced), then
-//!   applies the fsync policy **once** for the batch — so N queued
+//!   whole queue, writes the batch's records with one write via
+//!   [`Wal::append_all_unsynced`](crate::wal::Wal::append_all_unsynced),
+//!   then applies the fsync policy **once** for the batch — so N queued
 //!   records share a single write + fsync syscall pair — and publishes
 //!   the durability watermark.
 //!
@@ -25,6 +25,20 @@
 //! watermark ([`GroupCommitWal::wait_durable`]) before replying, which
 //! preserves acked-implies-durable while letting the round loop run
 //! ahead of the disk.
+//!
+//! # Records nobody waits on
+//!
+//! [`GroupCommitWal::append_unawaited`] enqueues a record that no
+//! caller acknowledges on its own (the service's `Propose`, whose reply
+//! does not wait for durability). A batch holding only such records is
+//! written at once but neither fsynced nor published: the watermark
+//! stays put and the observer does not fire. The records ride the next
+//! publishing batch — one that carries an awaited append or a
+//! [`sync_barrier`](GroupCommitWal::sync_barrier), is forced by a
+//! [`wait_durable`](GroupCommitWal::wait_durable) on one of them, or is
+//! the final drain of [`close`](GroupCommitWal::close) — and share its
+//! single fsync. So a served round (`Propose` then `Feedback`) costs
+//! one fsync, and the meaning of the watermark does not change.
 //!
 //! Maintenance operations ([`rotate`](GroupCommitWal::rotate),
 //! [`compact_below`](GroupCommitWal::compact_below),
@@ -65,28 +79,36 @@ pub fn live_commit_syncers() -> usize {
 
 /// Observer invoked by the syncer after each published batch with
 /// `(batch_size, commit_latency)`: the number of records the batch
-/// carried and the queue-to-durable latency of its oldest record.
+/// made durable (unawaited records it carried included) and the
+/// latency from the oldest wait on any of them — an awaited record's
+/// enqueue, a barrier, or a `wait_durable` — to durability.
 pub type CommitObserver = Arc<dyn Fn(usize, Duration) + Send + Sync>;
 
 /// Notifier invoked by the syncer whenever the durability watermark
 /// advances, with the new [`GroupCommitWal::durable_lsn`] value. The
-/// serve actor installs one that pokes its command channel so deferred
-/// client replies flush without waiting for the poll interval.
+/// serve actor installs one that sends the client replies withheld
+/// until their records are durable, straight from the syncer thread.
 pub type CommitNotifier = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// One unit of ordered work for the syncer.
 enum Task {
     /// Append `record` (its LSN was assigned at enqueue time and the
-    /// `Wal` will reproduce it). `enqueued` feeds the commit-latency
-    /// observer.
-    Append { record: Record, enqueued: Instant },
+    /// `Wal` will reproduce it). `awaited` is `false` for a record
+    /// nobody waits on, which alone does not make its batch publish;
+    /// `enqueued` feeds the commit-latency observer.
+    Append {
+        record: Record,
+        enqueued: Instant,
+        awaited: bool,
+    },
     /// Close the current segment and start a fresh one.
     Rotate,
     /// Delete fully-covered segments below `seq`.
     CompactBelow(u64),
     /// Force an fsync regardless of policy and bump the barrier
-    /// counter; [`GroupCommitWal::sync_barrier`] waits on it.
-    SyncBarrier,
+    /// counter; [`GroupCommitWal::sync_barrier`] waits on it from
+    /// `enqueued`.
+    SyncBarrier { enqueued: Instant },
 }
 
 struct State {
@@ -98,6 +120,14 @@ struct State {
     /// its ticket.
     barriers_issued: u64,
     barriers_done: u64,
+    /// One past the newest LSN the syncer will publish unasked: the
+    /// newest awaited append, barrier or registered wait. A
+    /// `wait_durable` below it needs no extra sync.
+    awaited_end: u64,
+    /// When a `wait_durable` on an unawaited record registered its
+    /// need: the syncer's next pass publishes even if it writes nothing
+    /// awaited.
+    sync_wanted: Option<Instant>,
     /// First storage error; poisons the pipeline.
     error: Option<StoreError>,
     shutdown: bool,
@@ -150,6 +180,8 @@ impl GroupCommitWal {
                 next_lsn: next,
                 barriers_issued: 0,
                 barriers_done: 0,
+                awaited_end: next,
+                sync_wanted: None,
                 error: None,
                 shutdown: false,
             }),
@@ -192,20 +224,40 @@ impl GroupCommitWal {
     /// exact sequence number the underlying `Wal` will assign. The
     /// record is **not yet durable**; acknowledge it only once
     /// [`durable_lsn`](GroupCommitWal::durable_lsn) exceeds the
-    /// returned LSN.
+    /// returned LSN. Its batch is fsynced (per policy) and published.
     ///
     /// # Errors
     /// The pipeline's poisoning error, if a previous batch failed.
     pub fn append(&self, record: Record) -> Result<u64, StoreError> {
+        self.push_append(record, true)
+    }
+
+    /// Like [`append`](GroupCommitWal::append), for a record nobody
+    /// acknowledges on its own: it is written at once but made durable
+    /// only with the next publishing batch (see the [module
+    /// docs](self)). A [`wait_durable`](GroupCommitWal::wait_durable)
+    /// on its LSN still returns once it is durable.
+    ///
+    /// # Errors
+    /// The pipeline's poisoning error, if a previous batch failed.
+    pub fn append_unawaited(&self, record: Record) -> Result<u64, StoreError> {
+        self.push_append(record, false)
+    }
+
+    fn push_append(&self, record: Record, awaited: bool) -> Result<u64, StoreError> {
         let mut st = self.lock_state();
         if let Some(e) = &st.error {
             return Err(e.clone());
         }
         let lsn = st.next_lsn;
         st.next_lsn += 1;
+        if awaited {
+            st.awaited_end = st.next_lsn;
+        }
         st.queue.push_back(Task::Append {
             record,
             enqueued: Instant::now(),
+            awaited,
         });
         drop(st);
         self.shared.work_cv.notify_one();
@@ -256,7 +308,10 @@ impl GroupCommitWal {
         }
         st.barriers_issued += 1;
         let ticket = st.barriers_issued;
-        st.queue.push_back(Task::SyncBarrier);
+        st.awaited_end = st.next_lsn;
+        st.queue.push_back(Task::SyncBarrier {
+            enqueued: Instant::now(),
+        });
         self.shared.work_cv.notify_one();
         while st.barriers_done < ticket {
             if let Some(e) = &st.error {
@@ -299,7 +354,10 @@ impl GroupCommitWal {
     }
 
     /// Blocks until `lsn` is covered by the watermark (`durable_lsn() >
-    /// lsn`) and returns the watermark.
+    /// lsn`) and returns the watermark. If nothing the syncer will
+    /// publish on its own covers `lsn` (it is an
+    /// [unawaited](GroupCommitWal::append_unawaited) record), this
+    /// registers the need and wakes the syncer.
     ///
     /// # Errors
     /// The pipeline's poisoning error — in that case the record may or
@@ -322,6 +380,11 @@ impl GroupCommitWal {
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
+            if lsn >= st.awaited_end {
+                st.awaited_end = lsn + 1;
+                st.sync_wanted.get_or_insert_with(Instant::now);
+                self.shared.work_cv.notify_one();
+            }
             st = self
                 .shared
                 .progress_cv
@@ -331,8 +394,9 @@ impl GroupCommitWal {
     }
 
     /// Shuts the pipeline down: the syncer drains everything still
-    /// queued (unless already poisoned), fsyncs, and hands the `Wal`
-    /// back for synchronous use (final snapshot, close protocol).
+    /// queued (unless already poisoned), publishes it — unawaited
+    /// records included — with the fsync policy applied, and hands the
+    /// `Wal` back for synchronous use (final snapshot, close protocol).
     ///
     /// # Errors
     /// The pipeline's poisoning error. The `Wal` is dropped in that
@@ -378,9 +442,11 @@ impl Drop for GroupCommitWal {
     }
 }
 
-/// The syncer thread: drains the queue in whole batches, writes the
-/// batch, applies the fsync policy once, publishes the watermark.
-/// Returns the `Wal` at shutdown so `close()` can hand it back.
+/// The syncer thread: drains the queue in whole batches, writes each
+/// run of appends with one write, and — when the batch holds anything
+/// someone waits on — applies the fsync policy once and publishes the
+/// watermark. Returns the `Wal` at shutdown so `close()` can hand it
+/// back.
 fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
     struct LiveGuard;
     impl Drop for LiveGuard {
@@ -391,18 +457,26 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
     // The matching increment happened in `GroupCommitWal::spawn`.
     let _live = LiveGuard;
 
+    let mut batch: Vec<Task> = Vec::new();
+    let mut run: Vec<Record> = Vec::new();
+    // Records written but not yet published (unawaited ones waiting
+    // for a batch that publishes).
+    let mut unpublished = 0usize;
     loop {
-        // Wait for work; on shutdown keep draining until empty.
-        let batch: Vec<Task> = {
+        // Wait for work; on shutdown keep draining, then publish
+        // whatever is still unpublished, before returning.
+        let (wanted, closing) = {
             let mut st = shared.state.lock().expect("group commit state poisoned");
             loop {
-                if !st.queue.is_empty() {
-                    if st.error.is_some() {
-                        // Poisoned: drop the queue (nothing was acked)
-                        // and park until shutdown.
-                        st.queue.clear();
-                        continue;
-                    }
+                if st.error.is_some() {
+                    // Poisoned: drop the queue (nothing was acked) and
+                    // park until shutdown.
+                    st.queue.clear();
+                    st.sync_wanted = None;
+                } else if !st.queue.is_empty()
+                    || st.sync_wanted.is_some()
+                    || (st.shutdown && unpublished > 0)
+                {
                     break;
                 }
                 if st.shutdown {
@@ -413,63 +487,65 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
                     .wait(st)
                     .expect("group commit state poisoned");
             }
-            st.queue.drain(..).collect()
+            batch.extend(st.queue.drain(..));
+            (st.sync_wanted.take(), st.shutdown)
         };
 
+        // The oldest wait this batch answers, if any: its awaited
+        // appends, its barriers, or a registered `wait_durable`.
+        let mut waited_since = wanted;
         let mut appended = 0usize;
-        let mut oldest: Option<Instant> = None;
         let mut barriers = 0u64;
         let mut outcome: Result<(), StoreError> = Ok(());
-        let mut last_seq: Option<u64> = None;
-        for task in batch {
-            let step = match task {
-                Task::Append { record, enqueued } => {
-                    oldest = Some(oldest.map_or(enqueued, |o| o.min(enqueued)));
-                    wal.append_unsynced(&record).map(|seq| {
-                        // LSN-order invariant: `append` promised the
-                        // caller `next_lsn` at enqueue time, which is
-                        // only honest if the single-writer syncer sees
-                        // a dense FIFO queue — every on-disk sequence
-                        // number must be exactly one past its batch
-                        // predecessor. The pipelined round engine acks
-                        // rounds off these LSNs, so drift here would
-                        // silently reorder acked durability.
-                        if let Some(prev) = last_seq {
-                            debug_assert_eq!(
-                                seq,
-                                prev + 1,
-                                "group-commit WAL assigned a non-dense sequence"
-                            );
-                        }
-                        last_seq = Some(seq);
-                        appended += 1;
+        for task in batch.drain(..) {
+            if outcome.is_err() {
+                continue;
+            }
+            outcome = match task {
+                Task::Append {
+                    record,
+                    enqueued,
+                    awaited,
+                } => {
+                    if awaited {
+                        waited_since = earliest(waited_since, enqueued);
+                    }
+                    run.push(record);
+                    Ok(())
+                }
+                Task::Rotate => {
+                    write_run(&mut wal, &mut run, &mut appended).and_then(|()| wal.rotate())
+                }
+                Task::CompactBelow(seq) => write_run(&mut wal, &mut run, &mut appended)
+                    .and_then(|()| wal.compact_below(seq).map(|_| ())),
+                Task::SyncBarrier { enqueued } => {
+                    waited_since = earliest(waited_since, enqueued);
+                    write_run(&mut wal, &mut run, &mut appended).and_then(|()| {
+                        wal.sync().map(|()| {
+                            barriers += 1;
+                        })
                     })
                 }
-                Task::Rotate => wal.rotate(),
-                Task::CompactBelow(seq) => wal.compact_below(seq).map(|_| ()),
-                Task::SyncBarrier => wal.sync().map(|()| {
-                    barriers += 1;
-                }),
             };
-            if let Err(e) = step {
-                outcome = Err(e);
-                break;
-            }
         }
-        if outcome.is_ok() && appended > 0 {
+        if outcome.is_ok() {
+            outcome = write_run(&mut wal, &mut run, &mut appended);
+        }
+        run.clear();
+        unpublished += appended;
+        let publish = waited_since.is_some() || closing;
+        if outcome.is_ok() && !publish {
+            // Only unawaited records: written, left for the next
+            // publishing batch to fsync.
+            continue;
+        }
+        if outcome.is_ok() && unpublished > 0 {
             // One policy application for the whole batch: this is the
             // group commit — N records, at most one fsync.
             outcome = wal.apply_fsync_policy();
         }
 
         let watermark = wal.next_seq();
-        if outcome.is_ok() {
-            if let Some(last) = last_seq {
-                // The published watermark must cover exactly the LSNs
-                // this batch wrote — nothing skipped, nothing extra.
-                debug_assert_eq!(watermark, last + 1, "watermark out of step with batch");
-            }
-        }
         let published = {
             let mut st = shared.state.lock().expect("group commit state poisoned");
             match &outcome {
@@ -490,11 +566,12 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
         shared.progress_cv.notify_all();
 
         if published {
-            if appended > 0 {
+            let records = std::mem::take(&mut unpublished);
+            if records > 0 {
                 let observer = shared.observer.lock().expect("observer poisoned").clone();
                 if let Some(obs) = observer {
-                    let latency = oldest.map_or(Duration::ZERO, |at| at.elapsed());
-                    obs(appended, latency);
+                    let latency = waited_since.map_or(Duration::ZERO, |at| at.elapsed());
+                    obs(records, latency);
                 }
             }
             let notifier = shared.notifier.lock().expect("notifier poisoned").clone();
@@ -503,6 +580,32 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
             }
         }
     }
+}
+
+fn earliest(a: Option<Instant>, b: Instant) -> Option<Instant> {
+    Some(a.map_or(b, |a| a.min(b)))
+}
+
+/// Writes the pending run of appends with one write and counts them.
+fn write_run(wal: &mut Wal, run: &mut Vec<Record>, appended: &mut usize) -> Result<(), StoreError> {
+    if run.is_empty() {
+        return Ok(());
+    }
+    let first = wal.next_seq();
+    wal.append_all_unsynced(run.iter())?;
+    // LSN-order invariant: `append` promised each caller `next_lsn` at
+    // enqueue time, which is only honest if the single-writer syncer
+    // sees a dense FIFO queue — the run must occupy exactly the next
+    // `run.len()` sequence numbers. Served rounds are acked off these
+    // LSNs, so drift here would silently reorder acked durability.
+    debug_assert_eq!(
+        wal.next_seq(),
+        first + run.len() as u64,
+        "group-commit WAL assigned a non-dense sequence"
+    );
+    *appended += run.len();
+    run.clear();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -672,6 +775,136 @@ mod tests {
         assert_eq!(batched.load(Ordering::SeqCst), 40);
         assert!(high_water.load(Ordering::SeqCst) >= 40);
         group.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Observer calls and the records they reported, as counters.
+    fn counting_observer(group: &GroupCommitWal) -> (Arc<AtomicUsize>, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let records = Arc::new(AtomicUsize::new(0));
+        let (c, r) = (Arc::clone(&calls), Arc::clone(&records));
+        group.set_commit_observer(Some(Arc::new(move |n, _latency| {
+            c.fetch_add(1, Ordering::SeqCst);
+            r.fetch_add(n, Ordering::SeqCst);
+        })));
+        (calls, records)
+    }
+
+    /// Waits until the syncer has taken everything queued, then gives
+    /// it time to finish writing the batch.
+    fn let_syncer_settle(group: &GroupCommitWal) {
+        while group.queued() > 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    #[test]
+    fn unawaited_appends_move_no_watermark_fsync_nothing_and_stay_unobserved() {
+        let dir = tmp("unawaited");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        let (calls, _) = counting_observer(&group);
+        let notified = Arc::new(AtomicUsize::new(0));
+        let n = Arc::clone(&notified);
+        group.set_commit_notifier(Some(Arc::new(move |_| {
+            n.fetch_add(1, Ordering::SeqCst);
+        })));
+        for t in 0..5u64 {
+            assert_eq!(group.append_unawaited(feedback(t, 2)).unwrap(), t);
+            let_syncer_settle(&group);
+        }
+        assert_eq!(group.durable_lsn(), 0, "watermark moved");
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "observer fired");
+        assert_eq!(notified.load(Ordering::SeqCst), 0, "notifier fired");
+        // Written but never fsynced: the only fsync is close's.
+        let wal = group.close().unwrap();
+        assert_eq!(wal.fsyncs(), 1);
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn next_awaited_append_publishes_unawaited_ones_in_one_fsync() {
+        let dir = tmp("carried");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        let (calls, records) = counting_observer(&group);
+        for t in 0..4u64 {
+            group.append_unawaited(feedback(t, 2)).unwrap();
+        }
+        let_syncer_settle(&group);
+        let awaited = group.append(feedback(4, 2)).unwrap();
+        assert_eq!(group.wait_durable(awaited).unwrap(), 5);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one published batch");
+        assert_eq!(records.load(Ordering::SeqCst), 5, "batch counts all five");
+        let wal = group.close().unwrap();
+        assert_eq!(wal.fsyncs(), 1, "one fsync covers all five records");
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wait_durable_on_an_unawaited_record_forces_the_sync() {
+        let dir = tmp("forced");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        let (calls, records) = counting_observer(&group);
+        let mut last = 0;
+        for t in 0..3u64 {
+            last = group.append_unawaited(feedback(t, 2)).unwrap();
+        }
+        // Nothing else is coming: the wait alone must publish.
+        assert_eq!(group.wait_durable(last).unwrap(), 3);
+        assert_eq!(group.durable_lsn(), 3);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(records.load(Ordering::SeqCst), 3);
+        // Waiting on an earlier one now returns at once.
+        assert_eq!(group.wait_durable(0).unwrap(), 3);
+        let wal = group.close().unwrap();
+        assert_eq!(wal.fsyncs(), 1);
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn close_leaves_unawaited_records_on_disk() {
+        let dir = tmp("unawaited-close");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        for t in 0..4u64 {
+            group.append_unawaited(feedback(t, 3)).unwrap();
+        }
+        let wal = group.close().unwrap();
+        assert_eq!(wal.next_seq(), 4);
+        assert_eq!(wal.unsynced_records(), 0, "close left records unsynced");
+        drop(wal);
+        let (found, _, torn) = crate::wal::scan(&dir, 7).unwrap();
+        assert_eq!(torn, None);
+        let expect: Vec<(u64, Record)> = (0..4u64).map(|t| (t, feedback(t, 3))).collect();
+        assert_eq!(found, expect);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_of_an_unawaited_record_poisons() {
+        let dir = tmp("unawaited-poison");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        let first = group.append(feedback(0, 2)).unwrap();
+        group.wait_durable(first).unwrap();
+        // No reader accepts a frame this large, so the write is refused.
+        let huge = Record::Feedback {
+            t: 1,
+            accepts: vec![true; crate::record::MAX_PAYLOAD as usize + 1],
+        };
+        let lsn = group.append_unawaited(huge).unwrap();
+        let err = group.wait_durable(lsn).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Io { kind, .. } if kind == std::io::ErrorKind::InvalidInput),
+            "{err:?}"
+        );
+        assert_eq!(group.durable_lsn(), 1, "the failed record was published");
+        assert_eq!(group.error(), Some(err.clone()));
+        assert_eq!(group.append(feedback(2, 2)).unwrap_err(), err);
+        assert_eq!(group.close().unwrap_err(), err);
+        let (found, _, _) = crate::wal::scan(&dir, 7).unwrap();
+        assert_eq!(found, vec![(0, feedback(0, 2))]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

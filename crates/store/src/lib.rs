@@ -50,7 +50,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use crc::{crc32, Crc32};
-pub use fault::{FaultFile, ShortReader};
+pub use fault::{CountingWriter, FaultFile, ShortReader};
 pub use group::{live_commit_syncers, CommitNotifier, CommitObserver, GroupCommitWal};
 pub use record::{
     context_hash, parse_raw_frame, read_raw_frame, write_raw_frame, FrameParse, RawFrame, Record,

@@ -40,7 +40,7 @@ use crate::{
     StoreError, TAG_FEEDBACK, TAG_LIFECYCLE, TAG_PROPOSE, TAG_SNAPSHOT_MARKER, TAG_TXN_ABORT,
     TAG_TXN_COMMIT, TAG_TXN_PREPARE,
 };
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a record payload (16 MiB). A `len` above this is
 /// treated as corruption rather than an allocation request.
@@ -180,6 +180,12 @@ pub fn propose_payload_len(num_events: usize, dim: usize, arranged: usize) -> u6
 /// Serialises the payload (`tag | seq | body`) of one record.
 pub fn encode_payload(seq: u64, record: &Record) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_payload_into(&mut out, seq, record);
+    out
+}
+
+/// Appends the payload (`tag | seq | body`) of one record to `out`.
+fn encode_payload_into(out: &mut Vec<u8>, seq: u64, record: &Record) {
     out.push(record.tag());
     out.extend_from_slice(&seq.to_le_bytes());
     match record {
@@ -233,12 +239,29 @@ pub fn encode_payload(seq: u64, record: &Record) -> Vec<u8> {
             out.extend_from_slice(&capacity.to_le_bytes());
         }
     }
-    out
 }
 
-/// Writes one raw frame (`len | crc | payload`) to `w`. Returns the
-/// number of bytes written. This is the framing primitive shared by the
-/// WAL and by `fasea-serve`'s wire protocol; the payload is opaque.
+fn oversized(len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("frame payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte limit"),
+    )
+}
+
+/// The 8-byte frame header (`len | crc`) for `payload`.
+fn frame_header(payload: &[u8]) -> [u8; 8] {
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Writes one raw frame (`len | crc | payload`) to `w` in a single
+/// vectored write (more only if the writer accepts part of it), so a
+/// frame on a `TCP_NODELAY` socket leaves as one segment and the
+/// payload is never copied. Returns the number of bytes written. This
+/// is the framing primitive shared by the WAL and by `fasea-serve`'s
+/// wire protocol; the payload is opaque.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidInput`], with nothing written, when the
@@ -247,26 +270,56 @@ pub fn encode_payload(seq: u64, record: &Record) -> Vec<u8> {
 /// Otherwise, the writer's own errors.
 pub fn write_raw_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<u64> {
     if payload.len() > MAX_PAYLOAD as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds the {MAX_PAYLOAD}-byte limit",
-                payload.len()
-            ),
-        ));
+        return Err(oversized(payload.len()));
     }
-    let crc = crc32(payload);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc.to_le_bytes())?;
-    w.write_all(payload)?;
+    let header = frame_header(payload);
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(8 + payload.len() as u64)
 }
 
-/// Writes one framed record (`len | crc | payload`) to `w`. Returns the
-/// number of bytes written.
+/// Appends one framed record (`len | crc | payload`) to `out` and
+/// returns the frame's size in bytes. The WAL encodes a whole batch of
+/// records this way and hands it to the file in one write.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], with `out` left as it was, when the
+/// payload exceeds [`MAX_PAYLOAD`] (see [`write_raw_frame`]).
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, seq: u64, record: &Record) -> io::Result<u64> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    encode_payload_into(out, seq, record);
+    let payload = &out[start + 8..];
+    if payload.len() > MAX_PAYLOAD as usize {
+        let len = payload.len();
+        out.truncate(start);
+        return Err(oversized(len));
+    }
+    let header = frame_header(payload);
+    out[start..start + 8].copy_from_slice(&header);
+    Ok((out.len() - start) as u64)
+}
+
+/// Writes one framed record (`len | crc | payload`) to `w` with a
+/// single `write_all`. Returns the number of bytes written.
 pub fn write_frame<W: Write>(w: &mut W, seq: u64, record: &Record) -> io::Result<u64> {
-    let payload = encode_payload(seq, record);
-    write_raw_frame(w, &payload)
+    let mut frame = Vec::with_capacity(72);
+    let bytes = encode_frame_into(&mut frame, seq, record)?;
+    w.write_all(&frame)?;
+    Ok(bytes)
 }
 
 /// Outcome of reading one frame from a stream.
@@ -828,5 +881,58 @@ mod tests {
             parse_raw_frame(&buf),
             FrameParse::Frame { consumed, .. } if consumed == buf.len()
         ));
+    }
+
+    #[test]
+    fn a_frame_reaches_the_writer_in_one_call() {
+        use crate::fault::CountingWriter;
+        // A raw frame (the wire path) leaves in one vectored write.
+        let payload = vec![0x5au8; 80 << 10];
+        let mut sink = CountingWriter::new(Vec::new());
+        let bytes = write_raw_frame(&mut sink, &payload).unwrap();
+        assert_eq!(sink.calls(), 1);
+        assert_eq!(bytes as usize, sink.get_ref().len());
+        // A WAL record frame is encoded whole and written once.
+        let rec = Record::Feedback {
+            t: 3,
+            accepts: vec![true, false, true],
+        };
+        let mut sink = CountingWriter::new(Vec::new());
+        write_frame(&mut sink, 9, &rec).unwrap();
+        assert_eq!(sink.calls(), 1);
+        let mut encoded = Vec::new();
+        encode_frame_into(&mut encoded, 9, &rec).unwrap();
+        assert_eq!(sink.get_ref(), &encoded);
+        let mut r = &encoded[..];
+        assert!(matches!(
+            read_frame(&mut r).unwrap(),
+            FrameOutcome::Ok { seq: 9, record, .. } if record == rec
+        ));
+    }
+
+    #[test]
+    fn partial_vectored_writes_still_frame_exactly() {
+        use crate::fault::CountingWriter;
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let mut whole = Vec::new();
+        write_raw_frame(&mut whole, &payload).unwrap();
+        for chunk in [1usize, 3, 7, 8, 9, 500, 1007] {
+            let mut sink = CountingWriter::new(Vec::new()).with_max_chunk(chunk);
+            write_raw_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.calls(), whole.len().div_ceil(chunk), "chunk {chunk}");
+            assert_eq!(sink.into_inner(), whole, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn oversized_frame_leaves_the_buffer_as_it_was() {
+        let mut out = vec![1u8, 2, 3];
+        let huge = Record::Feedback {
+            t: 0,
+            accepts: vec![false; MAX_PAYLOAD as usize],
+        };
+        let err = encode_frame_into(&mut out, 0, &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, vec![1u8, 2, 3]);
     }
 }

@@ -264,9 +264,10 @@ impl ServiceSnapshot {
         drop(f);
         fs::rename(&tmp_path, &final_path)
             .map_err(|e| StoreError::io("rename snapshot", &final_path, &e))?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        // Until the directory is synced the rename may not survive a
+        // crash; compacting the log below this snapshot before then
+        // could lose history, so a failure here is a store error.
+        crate::wal::sync_dir(dir)?;
         Ok(final_path)
     }
 

@@ -34,7 +34,7 @@
 //!
 //! Durability is tunable per append via [`FsyncPolicy`].
 
-use crate::record::{read_frame, write_frame, FrameOutcome, Record};
+use crate::record::{encode_frame_into, read_frame, FrameOutcome, Record};
 use crate::StoreError;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -114,6 +114,11 @@ pub struct Wal {
     segment_len: u64,
     next_seq: u64,
     unsynced: u32,
+    /// `fsync`s issued through [`Wal::sync`] since open.
+    fsyncs: u64,
+    /// Encoded frames waiting for their one `write`; kept between
+    /// appends so steady-state appends reuse its capacity.
+    frames: Vec<u8>,
 }
 
 fn segment_name(first_seq: u64) -> String {
@@ -265,6 +270,8 @@ impl Wal {
                     segment_len: HEADER_BYTES,
                     next_seq: 0,
                     unsynced: 0,
+                    fsyncs: 0,
+                    frames: Vec::new(),
                 },
                 Recovered {
                     records,
@@ -327,6 +334,8 @@ impl Wal {
                 segment_len: last_clean_len,
                 next_seq,
                 unsynced: 0,
+                fsyncs: 0,
+                frames: Vec::new(),
             },
             Recovered {
                 records,
@@ -357,27 +366,72 @@ impl Wal {
     /// in-memory service may have diverged from the log, and the safe
     /// continuation is to drop the service and recover from disk.
     pub fn append(&mut self, record: &Record) -> Result<u64, StoreError> {
-        let seq = self.append_unsynced(record)?;
+        let seq = self.next_seq;
+        self.append_all_unsynced([record])?;
         self.apply_fsync_policy()?;
         Ok(seq)
     }
 
-    /// Appends one record *without* applying the fsync policy (rotation
-    /// still happens when a segment fills, and rotation remains a
-    /// durability point). The group-commit pipeline uses this to write a
-    /// whole batch and then apply the policy once via
-    /// [`Wal::apply_fsync_policy`], so N records share one fsync.
-    pub fn append_unsynced(&mut self, record: &Record) -> Result<u64, StoreError> {
-        let seq = self.next_seq;
-        let bytes = write_frame(&mut self.file, seq, record)
-            .map_err(|e| StoreError::io("append record", &self.segment_path, &e))?;
-        self.next_seq += 1;
-        self.segment_len += bytes;
-        self.unsynced += 1;
-        if self.segment_len >= self.options.segment_bytes {
-            self.rotate()?;
+    /// Appends `records` in order *without* applying the fsync policy
+    /// (rotation still happens when a segment fills, and rotation
+    /// remains a durability point). Their frames are encoded into one buffer and reach the file in a
+    /// single write per segment: when a segment fills mid-batch, the
+    /// frames so far are written and the log rotates after exactly the
+    /// record where one-at-a-time appends would have rotated, so the
+    /// segments are byte-identical either way. The group-commit
+    /// pipeline uses this to write a whole batch and then apply the
+    /// policy once via [`Wal::apply_fsync_policy`], so N records share
+    /// one write and one fsync.
+    ///
+    /// A record whose frame exceeds [`crate::record::MAX_PAYLOAD`] is
+    /// refused with nothing of it written (the records before it are);
+    /// any other error poisons the writer, as for [`Wal::append`].
+    pub fn append_all_unsynced<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = &'a Record>,
+    ) -> Result<(), StoreError> {
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        let outcome = self.append_frames(&mut frames, records);
+        self.frames = frames;
+        outcome
+    }
+
+    fn append_frames<'a>(
+        &mut self,
+        frames: &mut Vec<u8>,
+        records: impl IntoIterator<Item = &'a Record>,
+    ) -> Result<(), StoreError> {
+        for record in records {
+            let bytes = match encode_frame_into(frames, self.next_seq, record) {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    self.write_frames(frames)?;
+                    return Err(StoreError::io("append record", &self.segment_path, &e));
+                }
+            };
+            self.next_seq += 1;
+            self.segment_len += bytes;
+            self.unsynced += 1;
+            if self.segment_len >= self.options.segment_bytes {
+                self.write_frames(frames)?;
+                self.rotate()?;
+            }
         }
-        Ok(seq)
+        self.write_frames(frames)
+    }
+
+    /// Hands the buffered frames to the file in one write.
+    fn write_frames(&mut self, frames: &mut Vec<u8>) -> Result<(), StoreError> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        let written = self
+            .file
+            .write_all(frames)
+            .map_err(|e| StoreError::io("append record", &self.segment_path, &e));
+        frames.clear();
+        written
     }
 
     /// Applies the configured fsync policy to everything appended since
@@ -412,6 +466,12 @@ impl Wal {
         self.options.fsync
     }
 
+    /// Segment fsyncs issued since open — by the policy, barriers and
+    /// rotation (diagnostics/tests).
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
+    }
+
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.file
@@ -419,6 +479,7 @@ impl Wal {
             .and_then(|_| self.file.sync_all())
             .map_err(|e| StoreError::io("fsync segment", &self.segment_path, &e))?;
         self.unsynced = 0;
+        self.fsyncs += 1;
         Ok(())
     }
 
@@ -494,11 +555,19 @@ fn create_segment(
         .map_err(|e| StoreError::io("sync new segment", &path, &e))?;
     // Make the directory entry durable too, so the segment survives a
     // crash immediately after rotation (POSIX requires syncing the
-    // parent directory for that).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    // parent directory for that). A failure poisons like a failed
+    // fsync: records in the new segment could otherwise be acked and
+    // then lost with its directory entry.
+    sync_dir(dir)?;
     Ok((file, path))
+}
+
+/// Fsyncs directory `dir`, making the entries created or renamed in it
+/// durable.
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StoreError::io("sync directory", dir, &e))
 }
 
 /// What [`scan`] finds: `(records, boundaries, torn_tail_reason)` —
@@ -620,6 +689,51 @@ mod tests {
             assert_eq!(*seq, i as u64);
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every segment file in `dir`, name and bytes, in order.
+    fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        list_segments(dir)
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().to_string();
+                (name, fs::read(p).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_appends_rotate_where_single_appends_do() {
+        // Mixed record sizes so rotations fall mid-batch, at batch ends
+        // and inside runs of small records alike.
+        let records: Vec<Record> = (0..60u64)
+            .map(|t| feedback(t, 1 + (t % 7) as usize * 9))
+            .collect();
+        let opts = WalOptions {
+            segment_bytes: 300,
+            fsync: FsyncPolicy::Never,
+        };
+        let single = tmp("batch-single");
+        {
+            let (mut wal, _) = Wal::open(&single, 3, opts).unwrap();
+            for r in &records {
+                wal.append(r).unwrap();
+            }
+        }
+        let batched = tmp("batch-batched");
+        {
+            let (mut wal, _) = Wal::open(&batched, 3, opts).unwrap();
+            for chunk in records.chunks(11) {
+                wal.append_all_unsynced(chunk).unwrap();
+            }
+            assert_eq!(wal.next_seq(), 60);
+        }
+        let segments = segment_files(&single);
+        assert!(segments.len() > 3, "too few rotations to compare");
+        assert_eq!(segment_files(&batched), segments);
+        fs::remove_dir_all(&single).unwrap();
+        fs::remove_dir_all(&batched).unwrap();
     }
 
     #[test]

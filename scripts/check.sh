@@ -85,6 +85,14 @@ cargo test -q --test shard_parity churned_kill_matrix_recovers_byte_identically
 echo "==> grant-ahead in-flight crash recovery"
 cargo test -q --test pipeline_parity
 
+# The served stack in the build the benchmark measures: workers run
+# commands under the actor lock while the accept loop ticks admission,
+# so these worker/accept-loop interleavings (hostile peers, drain,
+# crash-resume, grant-ahead crash recovery) also run optimised.
+echo "==> served stack: robustness, end-to-end, grant-ahead parity (release)"
+cargo test -q --release -p fasea-serve --test robustness
+cargo test -q --release --test serve_end_to_end --test pipeline_parity
+
 # Smoke the grant-ahead bench (~1s): exercises the serve depth 1 / 4
 # cells, the few-cores warning path, and each cell's closing STATS
 # assertion that no event ran out of capacity. The committed
