@@ -51,9 +51,7 @@ fn workload() -> SyntheticWorkload {
 }
 
 fn durable_opts() -> DurableOptions {
-    DurableOptions::new()
-        .with_fsync(FsyncPolicy::Always)
-        .with_group_commit(true)
+    DurableOptions::new().with_fsync(FsyncPolicy::Always)
 }
 
 fn tmp(tag: &str) -> std::path::PathBuf {

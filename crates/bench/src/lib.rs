@@ -20,6 +20,8 @@
 //! `FASEA_BENCH_MS` bounds each measurement window ([`budget`]), so a
 //! gate can smoke-run a bench without touching the committed numbers.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::time::Duration;
 

@@ -36,6 +36,7 @@
 //! calendar (Remark 2).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod encode;

@@ -32,6 +32,7 @@
 //! horizons). Output lands under `results/<id>/`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod basic;

@@ -11,6 +11,8 @@
 //!              ext1 ext2 verify plots all
 //! ```
 
+#![forbid(unsafe_code)]
+
 use fasea_experiments::{
     bench_check, multi_user_cmd, run_experiment, serve_cmd, Options, ALL_EXPERIMENTS,
 };
@@ -28,7 +30,7 @@ fn print_usage() {
          network service:\n\
          fasea-exp serve   [--addr H:P] [--dir DIR] [--seed S] [--events N] [--dim D]\n\
                            [--workers N] [--policy ucb|ts|egreedy]\n\
-                           [--fsync always|everyn|never] [--group-commit 1]\n\
+                           [--fsync always|everyn|never]\n\
                            [--snapshot-every N] [--shards N] [--oracle greedy|tabu]\n\
                            [--churn N] [--churn-horizon H] [--pipeline-depth N]\n\
          fasea-exp loadgen [--addr H:P] [--rounds N] [--clients N] [--seed S] [--events N]\n\

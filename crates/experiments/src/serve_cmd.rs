@@ -18,7 +18,7 @@
 //!                   [--cohorts N] [--cohort-folds K]
 //!                   [--state exact|sketched] [--sketch-rank R]
 //!                   [--fsync always|everyn|never]
-//!                   [--group-commit 0|1] [--snapshot-every N]
+//!                   [--snapshot-every N]
 //!                   [--shards N] [--oracle greedy|tabu]
 //!                   [--churn N] [--churn-horizon H]
 //!                   [--pipeline-depth N]
@@ -308,7 +308,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     let mut dir = std::path::PathBuf::from("serve-state");
     let mut config = ServerConfig::default();
     let mut fsync = FsyncPolicy::EveryN(32);
-    let mut group_commit = false;
     let mut shards: usize = 0;
     for (flag, value) in parse_flags(args)? {
         match flag.as_str() {
@@ -333,12 +332,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown --fsync '{other}'")),
                 }
             }
-            // Group commit: appends flow through the batching syncer
-            // thread, FEEDBACK acks are withheld until the durable
-            // watermark covers them, and snapshots run in the
-            // background. Same acked-implies-durable guarantee, one
-            // fsync shared across concurrent sessions.
-            "group-commit" => group_commit = value == "true" || value == "1",
             // Sharded backend: partition the event universe over N
             // shard actors with cross-shard two-phase commit. 0 (the
             // default) keeps the classic single-actor service; any
@@ -372,7 +365,6 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let options = DurableOptions::new()
         .with_fsync(fsync)
-        .with_group_commit(group_commit)
         .with_oracle(spec.oracle)
         .with_fingerprint_salt(spec.model_fingerprint_salt());
     let svc: BackendService = if shards >= 1 {

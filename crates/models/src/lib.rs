@@ -34,6 +34,7 @@
 //! the ordinary `fasea_bandit::Policy` trait.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod policy;

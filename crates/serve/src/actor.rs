@@ -37,15 +37,15 @@
 //!
 //! # Group commit: deferred acknowledgements
 //!
-//! When the service runs with group commit, rounds are applied to the
-//! in-memory state immediately (so the *next* round can be granted
-//! while the log writes are still in flight) but the round-completing
-//! `FEEDBACK_OK` reply is withheld in an [`AckQueue`] until the
-//! store's `durable_lsn` watermark covers the round's last LSN — an
-//! acked round still implies a durable round, exactly as in the
-//! synchronous path, but N concurrent sessions now share one fsync.
-//! The commit syncer flushes the queue directly from its own thread
-//! via the commit notifier (no actor lock needed), and the actor
+//! Rounds are applied to the in-memory state immediately (so the *next*
+//! round can be granted while the log writes are still in flight) but
+//! the round-completing `FEEDBACK_OK` reply is withheld in an
+//! [`AckQueue`] until the store's `durable_lsn` watermark covers the
+//! round's last LSN — an acked round still implies a durable round, and
+//! N concurrent sessions share one fsync.
+//! Whichever thread runs the publishing commit pass (the syncer, for
+//! these deferred records) flushes the queue via the commit notifier
+//! (no actor lock needed), and the actor
 //! re-flushes after every push to close the race where the watermark
 //! advanced between the append and the push.
 //!
@@ -240,7 +240,7 @@ pub struct ServiceActor {
     waiters: VecDeque<Waiter>,
     /// Set once a store-level failure makes further writes unsafe.
     poisoned: bool,
-    /// Replies withheld until their LSN is durable (group commit only).
+    /// Replies withheld until their LSN is durable.
     acks: Arc<AckQueue>,
     /// Request an async snapshot every this many completed rounds.
     snapshot_every: Option<u64>,
@@ -281,10 +281,9 @@ impl ServiceActor {
     /// errors or a `SHUTDOWN` request. `snapshot_every` requests an
     /// asynchronous snapshot every that many completed rounds.
     ///
-    /// With group commit enabled this hooks the commit syncer: the
-    /// notifier flushes deferred acks as each batch becomes durable,
-    /// and the observer feeds the `fsync_batch_size` /
-    /// `commit_latency_us` histograms.
+    /// This hooks the commit pipeline: the notifier flushes deferred
+    /// acks as each batch becomes durable, and the observer feeds the
+    /// `fsync_batch_size` / `commit_latency_us` histograms.
     ///
     /// `pipeline_depth` bounds concurrently granted rounds (clamped to
     /// at least 1; 1 reproduces the strictly sequential admission).
@@ -299,17 +298,15 @@ impl ServiceActor {
     ) -> Self {
         let svc = svc.into();
         let acks = Arc::new(AckQueue::new());
-        if svc.group_commit_enabled() {
-            let for_notifier = Arc::clone(&acks);
-            svc.set_commit_notifier(Some(Arc::new(move |durable| {
-                for_notifier.flush(durable);
-            })));
-            let for_observer = Arc::clone(&metrics);
-            svc.set_commit_observer(Some(Arc::new(move |batch, latency| {
-                for_observer.fsync_batch_size.observe_value(batch as u64);
-                for_observer.commit_latency_us.observe(latency);
-            })));
-        }
+        let for_notifier = Arc::clone(&acks);
+        svc.set_commit_notifier(Some(Arc::new(move |durable| {
+            for_notifier.flush(durable);
+        })));
+        let for_observer = Arc::clone(&metrics);
+        svc.set_commit_observer(Some(Arc::new(move |batch, latency| {
+            for_observer.fsync_batch_size.observe_value(batch as u64);
+            for_observer.commit_latency_us.observe(latency);
+        })));
         ServiceActor {
             svc,
             metrics,
@@ -671,17 +668,12 @@ impl ServiceActor {
     fn execute_propose(&mut self, user: UserArrival) -> Response {
         let t = self.svc.rounds_completed();
         let started = Instant::now();
-        // With group commit the reply does not wait for the Propose
-        // record: compute-then-log makes an undurable Propose harmless
-        // (recovery re-draws it identically), and its LSN precedes the
-        // feedback LSN this round's completion ack will wait on.
-        let proposed = if self.svc.group_commit_enabled() {
-            self.svc.propose_deferred(&user).map(|(a, _lsn)| a)
-        } else {
-            self.svc.propose(&user)
-        };
-        match proposed {
-            Ok(arrangement) => {
+        // The reply does not wait for the Propose record:
+        // compute-then-log makes an undurable Propose harmless (recovery
+        // re-draws it identically), and its LSN precedes the feedback
+        // LSN this round's completion ack will wait on.
+        match self.svc.propose_deferred(&user) {
+            Ok((arrangement, _lsn)) => {
                 self.metrics.propose_us.observe(started.elapsed());
                 self.metrics.proposes.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
@@ -762,36 +754,21 @@ impl ServiceActor {
         }
         let t = self.svc.rounds_completed();
         let started = Instant::now();
-        if self.svc.group_commit_enabled() {
-            return match self.svc.feedback_deferred(accepts) {
-                Ok((reward, lsn)) => {
-                    self.metrics.feedback_us.observe(started.elapsed());
-                    self.metrics.feedbacks.incr();
-                    self.svc.drain_shard_metrics(&self.metrics);
-                    self.drain_model_tier_metrics();
-                    // The round is complete in memory: retire its grant
-                    // *now* so the next round proceeds while this
-                    // round's records are still being fsynced — the
-                    // pipelining that lets N sessions share one fsync.
-                    self.grants.pop_front();
-                    self.defer_ack(lsn, reply, Response::FeedbackOk { t, reward });
-                    self.maybe_snapshot();
-                    self.promote_buffered();
-                    None
-                }
-                Err(err) => Some(self.service_error_reply(err)),
-            };
-        }
-        match self.svc.feedback(accepts) {
-            Ok(reward) => {
+        match self.svc.feedback_deferred(accepts) {
+            Ok((reward, lsn)) => {
                 self.metrics.feedback_us.observe(started.elapsed());
                 self.metrics.feedbacks.incr();
                 self.svc.drain_shard_metrics(&self.metrics);
                 self.drain_model_tier_metrics();
+                // The round is complete in memory: retire its grant
+                // *now* so the next round proceeds while this round's
+                // records are still being fsynced — the pipelining that
+                // lets N sessions share one fsync.
                 self.grants.pop_front();
+                self.defer_ack(lsn, reply, Response::FeedbackOk { t, reward });
                 self.maybe_snapshot();
                 self.promote_buffered();
-                Some(Response::FeedbackOk { t, reward })
+                None
             }
             Err(err) => Some(self.service_error_reply(err)),
         }
@@ -980,9 +957,7 @@ mod tests {
     fn group_commit_defers_acks_until_durable() {
         let (mut actor, _shutdown) = new_actor_with(
             "group-acks",
-            DurableOptions::new()
-                .with_fsync(FsyncPolicy::Always)
-                .with_group_commit(true),
+            DurableOptions::new().with_fsync(FsyncPolicy::Always),
             1,
         );
         let conn = Conn::new(1);

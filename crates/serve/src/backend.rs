@@ -74,22 +74,12 @@ impl BackendService {
         }
     }
 
-    /// See [`DurableArrangementService::propose`].
-    pub fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        delegate!(self.propose(user))
-    }
-
     /// See [`DurableArrangementService::propose_deferred`].
     pub fn propose_deferred(
         &mut self,
         user: &UserArrival,
     ) -> Result<(Arrangement, u64), ServiceError> {
         delegate!(self.propose_deferred(user))
-    }
-
-    /// See [`DurableArrangementService::feedback`].
-    pub fn feedback(&mut self, accepted: &[bool]) -> Result<u32, ServiceError> {
-        delegate!(self.feedback(accepted))
     }
 
     /// See [`DurableArrangementService::feedback_deferred`].
@@ -116,11 +106,6 @@ impl BackendService {
     /// See [`DurableArrangementService::durable_lsn`].
     pub fn durable_lsn(&self) -> u64 {
         delegate!(self.durable_lsn())
-    }
-
-    /// See [`DurableArrangementService::group_commit_enabled`].
-    pub fn group_commit_enabled(&self) -> bool {
-        delegate!(self.group_commit_enabled())
     }
 
     /// See [`DurableArrangementService::set_commit_observer`].

@@ -42,6 +42,7 @@
 //! first claimant of the new process.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod actor;

@@ -71,8 +71,8 @@ pub struct ServerConfig {
     pub stats_interval: Option<Duration>,
     /// Request a service snapshot every this many completed rounds
     /// (`None` disables periodic snapshots; the close-time snapshot
-    /// always happens). With group commit the snapshot runs on the
-    /// background snapshotter and does not stall the round loop.
+    /// always happens). The snapshot runs on the background
+    /// snapshotter and does not stall the round loop.
     pub snapshot_every_rounds: Option<u64>,
     /// Event lifecycle schedule: capacity re-plans the actor applies
     /// (and durably logs) before granting the matching round. Empty by

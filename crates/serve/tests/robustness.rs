@@ -24,6 +24,10 @@ use fasea_store::{parse_raw_frame, write_raw_frame, FrameParse, FsyncPolicy};
 
 const DIM: usize = 3;
 
+/// Held by every test that runs a server, so the process-wide thread
+/// liveness counters the drain test reads count only its own threads.
+static SERVER_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn start_server(tag: &str) -> (ServerHandle, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("fasea-serve-robust-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -126,6 +130,7 @@ impl XorShift {
 
 #[test]
 fn hostile_streams_get_typed_errors_or_clean_close() {
+    let _serial = SERVER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let (handle, dir) = start_server("hostile");
 
     // 1. Pure garbage: an implausible length prefix.
@@ -255,10 +260,11 @@ fn hostile_streams_get_typed_errors_or_clean_close() {
 /// A group-commit server must serve rounds with deferred acks, surface
 /// the commit histograms through `STATS`, run its periodic background
 /// snapshots, and — on graceful drain — join the commit syncer and
-/// snapshotter threads (this is the only test in this binary that
-/// creates them, so the process-wide liveness counters are ours).
+/// snapshotter threads (no other server runs meanwhile, so the
+/// process-wide liveness counters are ours).
 #[test]
 fn group_commit_server_defers_acks_and_drains_cleanly() {
+    let _serial = SERVER_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("fasea-serve-robust-gc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -266,9 +272,7 @@ fn group_commit_server_defers_acks_and_drains_cleanly() {
         &dir,
         ProblemInstance::basic(6, DIM),
         Box::new(LinUcb::new(DIM, 1.0, 2.0)),
-        DurableOptions::new()
-            .with_fsync(FsyncPolicy::Always)
-            .with_group_commit(true),
+        DurableOptions::new().with_fsync(FsyncPolicy::Always),
     )
     .unwrap();
     let config = ServerConfig {
@@ -346,9 +350,7 @@ fn group_commit_server_defers_acks_and_drains_cleanly() {
         &dir,
         ProblemInstance::basic(6, DIM),
         Box::new(LinUcb::new(DIM, 1.0, 2.0)),
-        DurableOptions::new()
-            .with_fsync(FsyncPolicy::Always)
-            .with_group_commit(true),
+        DurableOptions::new().with_fsync(FsyncPolicy::Always),
     )
     .unwrap();
     assert_eq!(reopened.rounds_completed(), ROUNDS);

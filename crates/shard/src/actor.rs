@@ -252,8 +252,7 @@ impl ShardState {
             txn,
             decs: decs.clone(),
         };
-        let seq = self.wal().append(record)?;
-        self.wal().wait_durable(seq)?;
+        self.wal().commit(record)?;
         self.prepared.insert(txn, decs);
         Ok(())
     }
@@ -296,8 +295,7 @@ impl ShardState {
             });
         }
         let record = Record::Lifecycle { t, event, capacity };
-        let seq = self.wal().append(record.clone())?;
-        self.wal().wait_durable(seq)?;
+        let seq = self.wal().commit(record.clone())?;
         self.fold(seq, &record)
     }
 

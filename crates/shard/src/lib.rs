@@ -31,6 +31,7 @@
 //! only rank finished scores.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 mod actor;

@@ -177,7 +177,7 @@ impl ShardedArrangementService {
 
     /// Applies feedback with the cross-shard two-phase commit,
     /// returning the coordinator LSN to gate acknowledgements on
-    /// (group-commit form).
+    /// (deferred form).
     pub fn feedback_deferred(&mut self, accepted: &[bool]) -> Result<(u32, u64), ServiceError> {
         let staged = self.stage_commit(accepted)?;
         let result = self.inner.feedback_deferred(accepted);
@@ -390,11 +390,6 @@ impl ShardedArrangementService {
     /// round log).
     pub fn durable_lsn(&self) -> u64 {
         self.inner.durable_lsn()
-    }
-
-    /// See [`DurableArrangementService::group_commit_enabled`].
-    pub fn group_commit_enabled(&self) -> bool {
-        self.inner.group_commit_enabled()
     }
 
     /// See [`DurableArrangementService::set_commit_observer`].

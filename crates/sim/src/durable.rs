@@ -49,12 +49,12 @@ use fasea_core::{
     UserArrival,
 };
 use fasea_store::record::{propose_payload_len, MAX_PAYLOAD};
-use fasea_store::snapshot::{latest_snapshot, prune_snapshots};
+use fasea_store::snapshot::latest_snapshot;
 use fasea_store::wal::Recovered;
 pub use fasea_store::FsyncPolicy;
 use fasea_store::{
     context_hash, CommitNotifier, CommitObserver, GroupCommitWal, PendingProposal, Record,
-    ServiceSnapshot, StoreError, Wal, WalOptions,
+    ServiceSnapshot, Wal, WalOptions,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -72,17 +72,11 @@ pub struct DurableOptions {
     /// When appends reach stable storage.
     pub fsync: FsyncPolicy,
     /// How many snapshots to keep on disk (older ones are pruned after
-    /// each successful snapshot; at least 1).
+    /// each successful snapshot; at least 1). Applies to the inline
+    /// [`DurableArrangementService::snapshot`], the background
+    /// [`DurableArrangementService::snapshot_async`] and the final
+    /// snapshot of [`DurableArrangementService::close`] alike.
     pub snapshots_kept: usize,
-    /// Route appends through the group-commit pipeline: a dedicated
-    /// syncer thread batches writes + fsyncs (N records share one
-    /// syscall pair) and snapshots run on a background thread. The
-    /// durability *guarantee* is unchanged per fsync policy — the
-    /// blocking [`DurableArrangementService::propose`] /
-    /// [`DurableArrangementService::feedback`] wait for the watermark,
-    /// and the `_deferred` variants hand the caller an LSN to gate its
-    /// own acknowledgements on.
-    pub group_commit: bool,
     /// Which arrangement [`fasea_bandit::Oracle`] the service runs.
     /// The default ([`fasea_bandit::OracleKind::Greedy`]) is
     /// bit-identical to the historical behaviour and keeps existing
@@ -108,7 +102,6 @@ impl Default for DurableOptions {
             segment_bytes: 4 << 20,
             fsync: FsyncPolicy::EveryN(32),
             snapshots_kept: 2,
-            group_commit: false,
             oracle: fasea_bandit::OracleOptions::new(),
             fingerprint_salt: 0,
         }
@@ -141,10 +134,10 @@ impl DurableOptions {
         self
     }
 
-    /// Enables (or disables) the group-commit pipeline + background
-    /// snapshotter. See [`DurableOptions::group_commit`].
-    pub fn with_group_commit(mut self, enabled: bool) -> Self {
-        self.group_commit = enabled;
+    /// Sets nothing: group commit is the only way the service writes
+    /// its log. Kept so that callers written when it was optional still
+    /// build; new code should not call it.
+    pub fn with_group_commit(self, _enabled: bool) -> Self {
         self
     }
 
@@ -187,89 +180,20 @@ pub struct ServiceHealth {
     /// WAL sequence number the next append will receive.
     pub next_seq: u64,
     /// Durability watermark: records with LSN strictly below this have
-    /// reached the level the fsync policy promises. Equal to `next_seq`
-    /// without group commit (appends were synchronous); may trail it
-    /// while a group-commit batch is in flight.
+    /// reached the level the fsync policy promises. Trails `next_seq`
+    /// while appended records wait for a commit pass.
     pub durable_lsn: u64,
-}
-
-/// How appends reach the log: synchronously on the caller, or through
-/// the group-commit queue.
-enum WalBackend {
-    /// PR 1 semantics: the caller's thread writes (and per policy
-    /// fsyncs) inline; everything appended is immediately at its
-    /// policy durability level.
-    Direct(Wal),
-    /// Appends enqueue; the syncer thread batches them. `Arc` because
-    /// the background snapshotter holds a second handle for its ordered
-    /// rotate/marker/compact tasks.
-    Grouped(Arc<GroupCommitWal>),
-}
-
-impl WalBackend {
-    /// Appends one record, returning its LSN. Under `Direct` the record
-    /// is at its policy durability level on return; under `Grouped` it
-    /// is durable only once the watermark passes the LSN.
-    fn append(&mut self, record: Record) -> Result<u64, StoreError> {
-        match self {
-            WalBackend::Direct(w) => w.append(&record),
-            WalBackend::Grouped(g) => g.append(record),
-        }
-    }
-
-    /// Like [`append`](WalBackend::append), for a record nobody waits
-    /// on: under `Grouped` it is fsynced with the next record someone
-    /// does wait on (or on demand by `wait_durable`), not on its own.
-    fn append_unawaited(&mut self, record: Record) -> Result<u64, StoreError> {
-        match self {
-            WalBackend::Direct(w) => w.append(&record),
-            WalBackend::Grouped(g) => g.append_unawaited(record),
-        }
-    }
-
-    /// The LSN the next append will receive.
-    fn next_seq(&self) -> u64 {
-        match self {
-            WalBackend::Direct(w) => w.next_seq(),
-            WalBackend::Grouped(g) => g.next_lsn(),
-        }
-    }
-
-    /// The durability watermark (count semantics).
-    fn durable_lsn(&self) -> u64 {
-        match self {
-            // Synchronous appends: everything written is already at its
-            // policy durability level.
-            WalBackend::Direct(w) => w.next_seq(),
-            WalBackend::Grouped(g) => g.durable_lsn(),
-        }
-    }
-
-    /// Blocks until `lsn` is covered by the watermark. No-op under
-    /// `Direct`.
-    fn wait_durable(&self, lsn: u64) -> Result<(), StoreError> {
-        match self {
-            WalBackend::Direct(_) => Ok(()),
-            WalBackend::Grouped(g) => g.wait_durable(lsn).map(|_| ()),
-        }
-    }
-
-    /// Forces everything appended so far to stable storage.
-    fn sync(&mut self) -> Result<(), StoreError> {
-        match self {
-            WalBackend::Direct(w) => w.sync(),
-            WalBackend::Grouped(g) => g.sync_barrier(),
-        }
-    }
 }
 
 /// Crash-safe arrangement service: [`ArrangementService`] + WAL +
 /// snapshots.
 pub struct DurableArrangementService {
     service: ArrangementService,
-    wal: WalBackend,
-    /// Background snapshot thread; `Some` iff group commit is on.
-    snapshotter: Option<Snapshotter>,
+    /// The log behind its group-commit queue. `Arc` because the
+    /// background snapshotter holds a second handle for its ordered
+    /// rotate/marker/compact tasks.
+    wal: Arc<GroupCommitWal>,
+    snapshotter: Snapshotter,
     dir: PathBuf,
     fingerprint: u64,
     options: DurableOptions,
@@ -416,17 +340,12 @@ impl DurableArrangementService {
 
         replay(&mut service, &recovered, replay_from)?;
 
-        let (wal, snapshotter) = if options.group_commit {
-            let group = Arc::new(GroupCommitWal::spawn(wal));
-            let snapshotter = Snapshotter::spawn(
-                Arc::clone(&group),
-                dir.to_path_buf(),
-                options.snapshots_kept.max(1),
-            );
-            (WalBackend::Grouped(group), Some(snapshotter))
-        } else {
-            (WalBackend::Direct(wal), None)
-        };
+        let wal = Arc::new(GroupCommitWal::spawn(wal));
+        let snapshotter = Snapshotter::spawn(
+            Arc::clone(&wal),
+            dir.to_path_buf(),
+            options.snapshots_kept.max(1),
+        );
 
         Ok(DurableArrangementService {
             service,
@@ -442,8 +361,9 @@ impl DurableArrangementService {
     /// round input plus the decision. See
     /// [`ArrangementService::propose`] for protocol errors.
     ///
-    /// Blocks until the record reaches its policy durability level —
-    /// with group commit, that means waiting for the watermark. Use
+    /// Blocks until the record reaches its policy durability level,
+    /// running the commit pass on the calling thread (see
+    /// [`GroupCommitWal::commit`]). Use
     /// [`propose_deferred`](DurableArrangementService::propose_deferred)
     /// to pipeline instead.
     ///
@@ -452,8 +372,8 @@ impl DurableArrangementService {
     /// fails — after which the service must be dropped and reopened
     /// (in-memory state may be ahead of the log).
     pub fn propose(&mut self, user: &UserArrival) -> Result<Arrangement, ServiceError> {
-        let (arrangement, lsn) = self.propose_deferred(user)?;
-        self.wal.wait_durable(lsn)?;
+        let (arrangement, record) = self.propose_record(user)?;
+        self.wal.commit(record)?;
         Ok(arrangement)
     }
 
@@ -463,17 +383,16 @@ impl DurableArrangementService {
     /// immediately (the next round can start), but it must not be
     /// acknowledged to the outside world until
     /// [`durable_lsn`](DurableArrangementService::durable_lsn) exceeds
-    /// the returned LSN. Without group commit the record is already
-    /// durable on return, so gating on the LSN is a no-op.
+    /// the returned LSN.
     ///
     /// Losing a not-yet-durable `Propose` to a crash is safe even if
     /// later rounds were arranged in memory: proposals are
     /// compute-then-log and the policy's RNG position is recovered from
     /// the log, so replay re-draws the identical proposal.
     ///
-    /// With group commit nobody waits on the record itself, so it is
-    /// fsynced together with the round's `Feedback` (or the next record
-    /// anyone waits on) rather than on its own; a
+    /// Nobody waits on the record itself, so it is fsynced together
+    /// with the round's `Feedback` (or the next record anyone waits on)
+    /// rather than on its own; a
     /// [`wait_durable`](DurableArrangementService::wait_durable) on the
     /// returned LSN forces it out.
     ///
@@ -483,6 +402,17 @@ impl DurableArrangementService {
         &mut self,
         user: &UserArrival,
     ) -> Result<(Arrangement, u64), ServiceError> {
+        let (arrangement, record) = self.propose_record(user)?;
+        let lsn = self.wal.append_unawaited(record)?;
+        Ok((arrangement, lsn))
+    }
+
+    /// Draws the arrangement and builds its `Propose` record
+    /// (compute-then-log: the caller logs it).
+    fn propose_record(
+        &mut self,
+        user: &UserArrival,
+    ) -> Result<(Arrangement, Record), ServiceError> {
         let t = self.service.rounds_completed();
         let arrangement = self.service.propose(user)?;
         let contexts = user.contexts.as_slice().to_vec();
@@ -495,15 +425,15 @@ impl DurableArrangementService {
             contexts,
             arrangement: arrangement.iter().map(|v| v.index() as u32).collect(),
         };
-        let lsn = self.wal.append_unawaited(record)?;
-        Ok((arrangement, lsn))
+        Ok((arrangement, record))
     }
 
     /// Records the user's answers for the pending proposal: validated
     /// against the pending arrangement, logged, then applied. See
     /// [`ArrangementService::feedback`] for protocol errors.
     ///
-    /// Blocks until the record reaches its policy durability level;
+    /// Blocks until the record reaches its policy durability level,
+    /// committing on the calling thread;
     /// [`feedback_deferred`](DurableArrangementService::feedback_deferred)
     /// pipelines instead.
     ///
@@ -511,9 +441,9 @@ impl DurableArrangementService {
     /// Protocol violations leave no trace in the log;
     /// [`ServiceError::Store`] poisons the service (drop and reopen).
     pub fn feedback(&mut self, accepted: &[bool]) -> Result<u32, ServiceError> {
-        let (rewards, lsn) = self.feedback_deferred(accepted)?;
-        self.wal.wait_durable(lsn)?;
-        Ok(rewards)
+        let record = self.feedback_record(accepted)?;
+        self.wal.commit(record)?;
+        self.service.feedback(accepted)
     }
 
     /// Like [`feedback`](DurableArrangementService::feedback) but does
@@ -527,6 +457,16 @@ impl DurableArrangementService {
     /// # Errors
     /// As [`feedback`](DurableArrangementService::feedback).
     pub fn feedback_deferred(&mut self, accepted: &[bool]) -> Result<(u32, u64), ServiceError> {
+        let record = self.feedback_record(accepted)?;
+        let lsn = self.wal.append(record)?;
+        let rewards = self.service.feedback(accepted)?;
+        Ok((rewards, lsn))
+    }
+
+    /// Validates the answers against the pending proposal and builds
+    /// their `Feedback` record (validate-log-apply: the caller logs it,
+    /// then applies).
+    fn feedback_record(&self, accepted: &[bool]) -> Result<Record, ServiceError> {
         // Validate *before* logging so an invalid call cannot corrupt
         // the record stream.
         match self.service.pending() {
@@ -539,13 +479,10 @@ impl DurableArrangementService {
             }
             Some(_) => {}
         }
-        let t = self.service.rounds_completed();
-        let lsn = self.wal.append(Record::Feedback {
-            t,
+        Ok(Record::Feedback {
+            t: self.service.rounds_completed(),
             accepts: accepted.to_vec(),
-        })?;
-        let rewards = self.service.feedback(accepted)?;
-        Ok((rewards, lsn))
+        })
     }
 
     /// Applies one event-lifecycle action (validate-log-apply, like
@@ -574,40 +511,16 @@ impl DurableArrangementService {
             return Err(ServiceError::EventOutOfRange { event, num_events });
         }
         let t = self.service.rounds_completed();
-        let lsn = self.wal.append(Record::Lifecycle { t, event, capacity })?;
-        let installed = self.service.apply_lifecycle(event, capacity)?;
-        self.wal.wait_durable(lsn)?;
-        Ok(installed)
-    }
-
-    /// Clones the full service state into a [`ServiceSnapshot`] image
-    /// covering every record below `seq`. Cheap: `O(d²)` policy state
-    /// plus the capacity vector.
-    fn build_snapshot(&self, seq: u64) -> ServiceSnapshot {
-        let accounting = self.service.accounting();
-        ServiceSnapshot {
-            fingerprint: self.fingerprint,
-            seq,
-            t: self.service.rounds_completed(),
-            rounds: accounting.rounds(),
-            arranged: accounting.total_arranged(),
-            rewards: accounting.total_rewards(),
-            remaining: self.service.remaining().to_vec(),
-            pending: self.service.pending().map(|(a, ctx)| PendingProposal {
-                arrangement: a.iter().map(|v| v.index() as u32).collect(),
-                num_events: ctx.num_events() as u32,
-                dim: ctx.dim() as u32,
-                contexts: ctx.as_slice().to_vec(),
-            }),
-            policy_name: self.service.policy().name().to_string(),
-            policy_state: self.service.policy().save_state(),
-        }
+        self.wal.commit(Record::Lifecycle { t, event, capacity })?;
+        self.service.apply_lifecycle(event, capacity)
     }
 
     /// Writes a full service snapshot atomically, then rotates the WAL,
     /// logs a `SnapshotMarker`, compacts fully-covered segments and
-    /// prunes old snapshots. Returns the snapshot path. Synchronous on
-    /// the calling thread regardless of backend; see
+    /// prunes old snapshots. Returns the snapshot path. The barrier
+    /// and the snapshot write run on the calling thread; the rotation,
+    /// marker and compaction are queued behind them, ordered with every
+    /// later append. See
     /// [`snapshot_async`](DurableArrangementService::snapshot_async)
     /// for the non-blocking variant.
     ///
@@ -615,66 +528,42 @@ impl DurableArrangementService {
     /// [`ServiceError::Store`] on any I/O failure; an existing snapshot
     /// is never damaged (temp-file + rename).
     pub fn snapshot(&mut self) -> Result<PathBuf, ServiceError> {
-        let seq = self.wal.next_seq();
-        let snap = self.build_snapshot(seq);
+        let snap = snapshot_image(&self.service, self.fingerprint, self.wal.next_lsn());
         let keep = self.options.snapshots_kept.max(1);
-        match &mut self.wal {
-            WalBackend::Direct(wal) => {
-                // Everything the snapshot covers must be durable first.
-                wal.sync()?;
-                let path = snap.write_atomic(&self.dir)?;
-                wal.rotate()?;
-                wal.append(&Record::SnapshotMarker { snapshot_seq: seq })?;
-                wal.compact_below(seq)?;
-                prune_snapshots(&self.dir, keep)?;
-                Ok(path)
-            }
-            WalBackend::Grouped(group) => {
-                // Same cycle the background snapshotter runs, inline.
-                run_snapshot(group, &self.dir, keep, snap).map_err(ServiceError::from)
-            }
-        }
+        // Same cycle the background snapshotter runs, inline.
+        run_snapshot(&self.wal, &self.dir, keep, snap).map_err(ServiceError::from)
     }
 
     /// Hands a snapshot image to the background snapshotter and returns
     /// immediately; the write/rename/rotate/compact cycle runs off the
     /// round loop, and completion is visible via
     /// [`snapshot_published_seq`](DurableArrangementService::snapshot_published_seq).
-    /// Without group commit there is no snapshotter thread, so this
-    /// falls back to the synchronous
-    /// [`snapshot`](DurableArrangementService::snapshot).
     ///
     /// # Errors
-    /// [`ServiceError::Store`] — for the async path, only a *previous*
-    /// background snapshot failure is reported here; the current
-    /// request's failure surfaces on the next call or at close.
+    /// [`ServiceError::Store`] — only a *previous* background snapshot
+    /// failure is reported here; the current request's failure
+    /// surfaces on the next call or at close.
     pub fn snapshot_async(&mut self) -> Result<(), ServiceError> {
-        match &self.snapshotter {
-            Some(snapshotter) => {
-                let seq = self.wal.next_seq();
-                let image = self.build_snapshot(seq);
-                snapshotter.request(image).map_err(ServiceError::from)
-            }
-            None => self.snapshot().map(|_| ()),
-        }
+        let image = snapshot_image(&self.service, self.fingerprint, self.wal.next_lsn());
+        self.snapshotter.request(image).map_err(ServiceError::from)
     }
 
     /// Seq covered by the newest *completed* background snapshot (0
-    /// before the first one; always 0 without group commit — the
-    /// synchronous path returns its result directly).
+    /// before the first one; the inline
+    /// [`snapshot`](DurableArrangementService::snapshot) returns its
+    /// result directly and does not move it).
     pub fn snapshot_published_seq(&self) -> u64 {
-        self.snapshotter.as_ref().map_or(0, |s| s.published_seq())
+        self.snapshotter.published_seq()
     }
 
     /// Forces all appended records to stable storage regardless of the
-    /// fsync policy. With group commit this is a barrier through the
-    /// commit queue: on return everything previously appended is
-    /// fsynced.
+    /// fsync policy: a barrier through the commit queue, so on return
+    /// everything previously appended is fsynced.
     ///
     /// # Errors
     /// [`ServiceError::Store`] on I/O failure.
     pub fn sync(&mut self) -> Result<(), ServiceError> {
-        self.wal.sync().map_err(ServiceError::from)
+        self.wal.sync_barrier().map_err(ServiceError::from)
     }
 
     /// The durability watermark: records with LSN strictly below this
@@ -684,37 +573,31 @@ impl DurableArrangementService {
         self.wal.durable_lsn()
     }
 
-    /// Blocks until `lsn` is covered by the watermark. No-op without
-    /// group commit.
+    /// Blocks until `lsn` (a `_deferred` call's LSN) is covered by the
+    /// watermark, running the commit pass on the calling thread if no
+    /// pass is running.
     ///
     /// # Errors
     /// The pipeline's poisoning error — the record may or may not be on
     /// disk, so the caller must not acknowledge it.
     pub fn wait_durable(&self, lsn: u64) -> Result<(), ServiceError> {
-        self.wal.wait_durable(lsn).map_err(ServiceError::from)
+        self.wal
+            .wait_durable(lsn)
+            .map(|_| ())
+            .map_err(ServiceError::from)
     }
 
-    /// `true` if appends run through the group-commit pipeline.
-    pub fn group_commit_enabled(&self) -> bool {
-        matches!(self.wal, WalBackend::Grouped(_))
-    }
-
-    /// Installs (or clears) the group-commit batch observer, invoked by
-    /// the syncer after each published batch with `(batch_size,
-    /// commit_latency)`. No-op without group commit.
+    /// Installs (or clears) the group-commit batch observer, invoked
+    /// after each published commit pass with `(batch_size,
+    /// commit_latency)`.
     pub fn set_commit_observer(&self, observer: Option<CommitObserver>) {
-        if let WalBackend::Grouped(g) = &self.wal {
-            g.set_commit_observer(observer);
-        }
+        self.wal.set_commit_observer(observer);
     }
 
-    /// Installs (or clears) the watermark-advance notifier, invoked by
-    /// the syncer with the new watermark after each published batch.
-    /// No-op without group commit.
+    /// Installs (or clears) the watermark-advance notifier, invoked
+    /// with the new watermark after each published commit pass.
     pub fn set_commit_notifier(&self, notifier: Option<CommitNotifier>) {
-        if let WalBackend::Grouped(g) = &self.wal {
-            g.set_commit_notifier(notifier);
-        }
+        self.wal.set_commit_notifier(notifier);
     }
 
     /// The wrapped in-memory service (all read accessors).
@@ -761,7 +644,7 @@ impl DurableArrangementService {
     /// The WAL sequence number the next append will receive
     /// (diagnostics/tests).
     pub fn next_seq(&self) -> u64 {
-        self.wal.next_seq()
+        self.wal.next_lsn()
     }
 
     /// A point-in-time health summary (round counter, pending state,
@@ -778,16 +661,15 @@ impl DurableArrangementService {
             remaining_total: self.service.remaining().iter().map(|&c| c as u64).sum(),
             total_arranged: accounting.total_arranged(),
             total_rewards: accounting.total_rewards(),
-            next_seq: self.wal.next_seq(),
+            next_seq: self.wal.next_lsn(),
             durable_lsn: self.wal.durable_lsn(),
         }
     }
 
-    /// Graceful shutdown: joins the snapshotter and commit syncer (if
-    /// group commit is on — every queued record is drained first),
-    /// forces every appended record to stable storage, writes a final
-    /// snapshot (so the next open skips replay), and consumes the
-    /// service. Returns the snapshot path.
+    /// Graceful shutdown: joins the snapshotter, forces every appended
+    /// record to stable storage, writes a final snapshot (so the next
+    /// open skips replay), drains the commit queue and joins its
+    /// syncer, and consumes the service. Returns the snapshot path.
     ///
     /// A snapshot is only written once at least one record exists —
     /// closing a service that never completed a round leaves the
@@ -797,6 +679,9 @@ impl DurableArrangementService {
     /// [`ServiceError::Store`] on any I/O failure; the WAL is synced
     /// before snapshotting, so even a failed snapshot loses nothing.
     pub fn close(self) -> Result<Option<PathBuf>, ServiceError> {
+        // Join the snapshotter first: no background cycle may interleave
+        // with the final one, and it drops its log handle, making the
+        // log uniquely owned below.
         let DurableArrangementService {
             service,
             wal,
@@ -805,33 +690,43 @@ impl DurableArrangementService {
             fingerprint,
             options,
         } = self;
-        // Join the snapshotter first: it drops its `GroupCommitWal`
-        // handle, making the syncer uniquely owned below.
-        if let Some(s) = snapshotter {
-            s.close()?;
-        }
-        let wal = match wal {
-            WalBackend::Direct(w) => w,
-            WalBackend::Grouped(g) => Arc::try_unwrap(g)
-                .expect("group-commit handle uniquely owned after snapshotter join")
-                .close()?,
+        snapshotter.close()?;
+        let path = match wal.next_lsn() {
+            0 => None,
+            seq => {
+                let snap = snapshot_image(&service, fingerprint, seq);
+                let keep = options.snapshots_kept.max(1);
+                Some(run_snapshot(&wal, &dir, keep, snap)?)
+            }
         };
-        // Collapse to the direct backend for the final synchronous
-        // snapshot — the syncer is gone, so the Wal is single-threaded
-        // again.
-        let mut svc = DurableArrangementService {
-            service,
-            wal: WalBackend::Direct(wal),
-            snapshotter: None,
-            dir,
-            fingerprint,
-            options,
-        };
-        svc.wal.sync()?;
-        if svc.wal.next_seq() == 0 {
-            return Ok(None);
-        }
-        svc.snapshot().map(Some)
+        Arc::try_unwrap(wal)
+            .expect("group-commit log uniquely owned after snapshotter join")
+            .close()?;
+        Ok(path)
+    }
+}
+
+/// Clones the full service state into a [`ServiceSnapshot`] image
+/// covering every record below `seq`. Cheap: `O(d²)` policy state
+/// plus the capacity vector.
+fn snapshot_image(service: &ArrangementService, fingerprint: u64, seq: u64) -> ServiceSnapshot {
+    let accounting = service.accounting();
+    ServiceSnapshot {
+        fingerprint,
+        seq,
+        t: service.rounds_completed(),
+        rounds: accounting.rounds(),
+        arranged: accounting.total_arranged(),
+        rewards: accounting.total_rewards(),
+        remaining: service.remaining().to_vec(),
+        pending: service.pending().map(|(a, ctx)| PendingProposal {
+            arrangement: a.iter().map(|v| v.index() as u32).collect(),
+            num_events: ctx.num_events() as u32,
+            dim: ctx.dim() as u32,
+            contexts: ctx.as_slice().to_vec(),
+        }),
+        policy_name: service.policy().name().to_string(),
+        policy_state: service.policy().save_state(),
     }
 }
 
@@ -1247,65 +1142,12 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_run_recovers_identically_to_direct_run() {
-        // The same workload through the group-commit pipeline must
-        // leave a log that recovers to byte-identical policy state —
-        // and the blocking API must keep acked-implies-durable (the
-        // watermark covers every completed call).
-        let direct_dir = tmp("gc-direct");
-        let grouped_dir = tmp("gc-grouped");
-        let direct_opts = DurableOptions {
-            fsync: FsyncPolicy::Always,
-            ..Default::default()
-        };
-        let grouped_opts = direct_opts.with_group_commit(true);
-
-        let reference_state;
-        {
-            let mut svc =
-                DurableArrangementService::open(&direct_dir, instance(), ts_policy(), direct_opts)
-                    .unwrap();
-            for round in 0..20 {
-                let a = svc.propose(&arrival(round)).unwrap();
-                svc.feedback(&accepts_for(round, &a)).unwrap();
-            }
-            reference_state = svc.service().policy().save_state();
-        }
-        {
-            let mut svc = DurableArrangementService::open(
-                &grouped_dir,
-                instance(),
-                ts_policy(),
-                grouped_opts,
-            )
-            .unwrap();
-            assert!(svc.group_commit_enabled());
-            for round in 0..20 {
-                let a = svc.propose(&arrival(round)).unwrap();
-                svc.feedback(&accepts_for(round, &a)).unwrap();
-                // Blocking API: the watermark covers everything acked.
-                assert_eq!(svc.durable_lsn(), svc.next_seq());
-            }
-            assert_eq!(svc.service().policy().save_state(), reference_state);
-            // Simulated crash: drop without close; the syncer drains.
-        }
-        let svc =
-            DurableArrangementService::open(&grouped_dir, instance(), ts_policy(), grouped_opts)
-                .unwrap();
-        assert_eq!(svc.rounds_completed(), 20);
-        assert_eq!(svc.service().policy().save_state(), reference_state);
-        fs::remove_dir_all(&direct_dir).unwrap();
-        fs::remove_dir_all(&grouped_dir).unwrap();
-    }
-
-    #[test]
     fn deferred_rounds_pipeline_and_watermark_gates_acks() {
         let dir = tmp("gc-deferred");
         let opts = DurableOptions {
             fsync: FsyncPolicy::Always,
             ..Default::default()
-        }
-        .with_group_commit(true);
+        };
         let reference_state;
         {
             let mut svc =
@@ -1333,12 +1175,10 @@ mod tests {
 
     #[test]
     fn blocking_propose_under_group_commit_returns_durable() {
-        // `propose` appends a record nobody else waits on; its own wait
-        // must force the fsync instead of hanging for a feedback.
+        // `propose` commits its record on the caller's thread: it
+        // returns durable without waiting for a feedback.
         let dir = tmp("gc-blocking-propose");
-        let opts = DurableOptions::new()
-            .with_fsync(FsyncPolicy::Always)
-            .with_group_commit(true);
+        let opts = DurableOptions::new().with_fsync(FsyncPolicy::Always);
         let mut svc = DurableArrangementService::open(&dir, instance(), ts_policy(), opts).unwrap();
         for round in 0..3 {
             let a = svc.propose(&arrival(round)).unwrap();
@@ -1362,8 +1202,7 @@ mod tests {
         let opts = DurableOptions::new()
             .with_segment_bytes(512)
             .with_fsync(FsyncPolicy::Never)
-            .with_snapshots_kept(1)
-            .with_group_commit(true);
+            .with_snapshots_kept(1);
         let reference_state;
         {
             let mut svc =
@@ -1408,9 +1247,7 @@ mod tests {
     #[test]
     fn close_joins_syncer_and_snapshotter() {
         let dir = tmp("gc-join");
-        let opts = DurableOptions::new()
-            .with_fsync(FsyncPolicy::EveryN(8))
-            .with_group_commit(true);
+        let opts = DurableOptions::new().with_fsync(FsyncPolicy::EveryN(8));
         let mut svc = DurableArrangementService::open(&dir, instance(), ts_policy(), opts).unwrap();
         assert!(fasea_store::live_commit_syncers() >= 1);
         assert!(crate::live_snapshotters() >= 1);

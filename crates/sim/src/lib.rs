@@ -23,9 +23,10 @@
 //!   efficiency columns of Tables 5 and 6.
 //!
 //! [`sweep::run_parallel`] fans independent experiment cells out over
-//! crossbeam scoped threads.
+//! scoped threads.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod durable;

@@ -1,10 +1,10 @@
-//! Background snapshotter for the group-commit durable service.
+//! Background snapshotter for the durable service.
 //!
-//! The synchronous snapshot path stops the round loop for the whole
-//! write–rename–compact cycle. With group commit enabled, the service
-//! instead *clones* its (small: `O(d²)` policy state plus capacities)
-//! image under single-writer ownership and hands it to a [`Snapshotter`]
-//! thread, which performs the slow parts off the critical path:
+//! An inline snapshot stops the round loop for the whole
+//! write–rename–compact cycle. `snapshot_async` instead *clones* the
+//! service's (small: `O(d²)` policy state plus capacities) image under
+//! single-writer ownership and hands it to a [`Snapshotter`] thread,
+//! which performs the slow parts off the critical path:
 //!
 //! 1. a [`sync_barrier`](fasea_store::GroupCommitWal::sync_barrier), so
 //!    every record the snapshot covers is fsynced before the snapshot
@@ -182,9 +182,9 @@ impl Drop for Snapshotter {
     }
 }
 
-/// The full snapshot cycle, shared by the background thread and the
-/// synchronous fallback: barrier-sync, write + rename, rotate, marker,
-/// compact, prune.
+/// The full snapshot cycle, shared by the background thread, the inline
+/// `snapshot` and the final snapshot of `close`: barrier-sync, write +
+/// rename, rotate, marker, compact, prune.
 pub(crate) fn run_snapshot(
     wal: &GroupCommitWal,
     dir: &Path,

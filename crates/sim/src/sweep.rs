@@ -2,26 +2,26 @@
 //!
 //! A paper figure is typically a sweep — the same simulation repeated
 //! over a parameter grid (|V|, d, cr, λ, α, …). Cells are independent,
-//! so they fan out over crossbeam scoped threads, bounded by the
-//! available parallelism.
+//! so they fan out over scoped threads, bounded by the available
+//! parallelism.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Runs `jobs` (one closure per experiment cell) with at most
 /// `max_threads` running concurrently, returning results in input order.
 ///
 /// `max_threads = 0` means "use available parallelism".
 ///
-/// Claiming is lock-free: workers race a single atomic work index over
-/// a pre-split cell array — each `fetch_add` hands out one cell exactly
-/// once, so no queue mutex serialises claim traffic and no per-slot
-/// mutex guards the result writes (the unique claim already makes them
-/// exclusive; the scope join publishes them before reading).
+/// Workers race a single atomic work index over the cell array, so
+/// each `fetch_add` hands out one cell exactly once. A cell's lock is
+/// taken twice, uncontended: once to take the job, once to store its
+/// result.
 pub fn run_parallel<T, F>(jobs: Vec<F>, max_threads: usize) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let threads = if max_threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -30,45 +30,34 @@ where
         max_threads
     };
     let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-
-    /// One work cell: the job going in, its result coming out.
-    struct Cell<F, T>(std::cell::UnsafeCell<(Option<F>, Option<T>)>);
-    // SAFETY: every cell is touched by exactly one worker (the atomic
-    // claim below is unique per index), and results are only read after
-    // the scope joins all workers.
-    unsafe impl<F: Send, T: Send> Sync for Cell<F, T> {}
-
-    let cells: Vec<Cell<F, T>> = jobs
+    // One work cell per job: the job going in, its result coming out.
+    let cells: Vec<Mutex<(Option<F>, Option<T>)>> = jobs
         .into_iter()
-        .map(|f| Cell(std::cell::UnsafeCell::new((Some(f), None))))
+        .map(|f| Mutex::new((Some(f), None)))
         .collect();
     let next = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 // Relaxed suffices: claim uniqueness comes from the RMW
-                // itself, and result visibility from the scope join.
+                // itself, and result visibility from the cell's lock.
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let Some(cell) = cells.get(i) else {
                     break;
-                }
-                // SAFETY: index `i` was claimed by this worker alone.
-                let cell = unsafe { &mut *cells[i].0.get() };
-                let f = cell.0.take().expect("sweep job claimed twice");
-                cell.1 = Some(f());
+                };
+                let f = cell.lock().expect("sweep cell poisoned").0.take();
+                let result = f.expect("sweep job claimed twice")();
+                cell.lock().expect("sweep cell poisoned").1 = Some(result);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     cells
         .into_iter()
         .map(|c| {
-            c.0.into_inner()
+            c.into_inner()
+                .expect("sweep cell poisoned")
                 .1
                 .expect("sweep job did not produce a result")
         })

@@ -25,6 +25,7 @@
 //! * [`summary`] — Welford online moments and fixed-width histograms.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod crn;

@@ -1,60 +1,68 @@
-//! Group-commit pipeline over the [`Wal`](crate::wal::Wal).
+//! Group-commit pipeline over the [`Wal`](crate::wal::Wal) — the only
+//! way the durable service writes its log.
 //!
-//! The PR 1 durability design puts every append — and, under
-//! [`FsyncPolicy::Always`](crate::wal::FsyncPolicy), a full `fsync` —
-//! inline on the caller. That is correct but serialises the service's
-//! round loop behind disk latency: N concurrent clients pay N fsyncs.
-//! [`GroupCommitWal`] decouples the two halves:
+//! Appends and log maintenance go through one in-memory commit queue,
+//! and one **commit pass** turns the queue into log writes:
 //!
 //! * **Front end** (any thread): [`GroupCommitWal::append`] assigns the
 //!   record a monotone LSN (identical to the sequence number the `Wal`
-//!   will give it), pushes it onto an in-memory commit queue and
-//!   returns immediately.
-//! * **Syncer** (one dedicated thread, owns the `Wal`): drains the
-//!   whole queue, writes the batch's records with one write via
-//!   [`Wal::append_all_unsynced`](crate::wal::Wal::append_all_unsynced),
+//!   will give it), pushes it onto the queue and returns immediately.
+//! * **Commit pass** (one at a time, on whichever thread runs it):
+//!   takes the whole queue, writes the batch's records with one write
+//!   via [`Wal::append_all_unsynced`](crate::wal::Wal::append_all_unsynced),
 //!   then applies the fsync policy **once** for the batch — so N queued
 //!   records share a single write + fsync syscall pair — and publishes
 //!   the durability watermark.
 //!
+//! # Who runs the pass
+//!
+//! A caller that blocks on durability —
+//! [`commit`](GroupCommitWal::commit),
+//! [`wait_durable`](GroupCommitWal::wait_durable) or
+//! [`sync_barrier`](GroupCommitWal::sync_barrier) — runs the pass itself,
+//! on its own thread, whenever no pass is already running; if one is,
+//! it parks until that pass ends and then looks again. So a lone
+//! in-process caller pays no thread handoff: `commit` neither wakes the
+//! syncer nor waits for it. The dedicated syncer thread runs the same
+//! pass for work nobody blocks on: the non-blocking appends of the
+//! served path, whose acknowledgements ride the
+//! [`CommitNotifier`], and the snapshotter's rotation and compaction.
+//!
 //! The watermark [`GroupCommitWal::durable_lsn`] is a *count*: every
 //! record with `lsn < durable_lsn()` has reached the durability level
 //! the configured policy promises (`Always` ⇒ fsynced; `EveryN`/`Never`
-//! ⇒ written to the OS, exactly the PR 1/2 acknowledgement semantics).
-//! Callers that acknowledge work to the outside world wait on the
-//! watermark ([`GroupCommitWal::wait_durable`]) before replying, which
-//! preserves acked-implies-durable while letting the round loop run
-//! ahead of the disk.
+//! ⇒ written to the OS). Callers that acknowledge work to the outside
+//! world gate the reply on the watermark, which preserves
+//! acked-implies-durable while letting the round loop run ahead of the
+//! disk.
 //!
 //! # Records nobody waits on
 //!
 //! [`GroupCommitWal::append_unawaited`] enqueues a record that no
 //! caller acknowledges on its own (the service's `Propose`, whose reply
-//! does not wait for durability). A batch holding only such records is
-//! written at once but neither fsynced nor published: the watermark
-//! stays put and the observer does not fire. The records ride the next
-//! publishing batch — one that carries an awaited append or a
-//! [`sync_barrier`](GroupCommitWal::sync_barrier), is forced by a
-//! [`wait_durable`](GroupCommitWal::wait_durable) on one of them, or is
-//! the final drain of [`close`](GroupCommitWal::close) — and share its
-//! single fsync. So a served round (`Propose` then `Feedback`) costs
-//! one fsync, and the meaning of the watermark does not change.
+//! does not wait for durability). A syncer pass holding only such
+//! records writes them at once but neither fsyncs nor publishes: the
+//! watermark stays put and the observer does not fire. The records ride
+//! the next publishing pass — one that carries an awaited append or a
+//! barrier, runs for a blocked caller, or is the final drain of
+//! [`close`](GroupCommitWal::close) — and share its single fsync. So a
+//! served round (`Propose` then `Feedback`) costs one fsync, and the
+//! meaning of the watermark does not change.
 //!
 //! Maintenance operations ([`rotate`](GroupCommitWal::rotate),
 //! [`compact_below`](GroupCommitWal::compact_below),
 //! [`sync_barrier`](GroupCommitWal::sync_barrier)) travel through the
 //! same queue, so they are totally ordered with the appends around them
 //! — the asynchronous snapshotter in `fasea-sim` relies on this to
-//! rotate and compact without ever touching the `Wal` from a second
-//! thread.
+//! rotate and compact without ever touching the `Wal` outside a pass.
 //!
 //! # Failure model
 //!
-//! The first storage error poisons the pipeline: the error is published
-//! to every current and future caller (appends fail fast, waiters wake
-//! with the error), and the syncer parks — keeping the `Wal` so
-//! [`GroupCommitWal::close`] can still hand it back — until closed.
-//! This mirrors the PR 1 rule that a failed append poisons the service.
+//! The first storage error poisons the pipeline, whichever thread's
+//! pass hit it: the error is published to every current and future
+//! caller (appends fail fast, parked waiters wake with the error), and
+//! the syncer parks until closed. A failed append must poison the
+//! service: the in-memory state may be ahead of the log.
 
 use crate::record::Record;
 use crate::wal::{FsyncPolicy, Wal};
@@ -62,7 +70,7 @@ use crate::StoreError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,29 +85,30 @@ pub fn live_commit_syncers() -> usize {
     LIVE_SYNCERS.load(Ordering::SeqCst)
 }
 
-/// Observer invoked by the syncer after each published batch with
-/// `(batch_size, commit_latency)`: the number of records the batch
-/// made durable (unawaited records it carried included) and the
+/// Observer invoked after each published pass, on the thread that ran
+/// it, with `(batch_size, commit_latency)`: the number of records the
+/// pass made durable (unawaited records it carried included) and the
 /// latency from the oldest wait on any of them — an awaited record's
-/// enqueue, a barrier, or a `wait_durable` — to durability.
+/// enqueue, a barrier, or a blocked caller's wait — to durability.
 pub type CommitObserver = Arc<dyn Fn(usize, Duration) + Send + Sync>;
 
-/// Notifier invoked by the syncer whenever the durability watermark
-/// advances, with the new [`GroupCommitWal::durable_lsn`] value. The
-/// serve actor installs one that sends the client replies withheld
-/// until their records are durable, straight from the syncer thread.
+/// Notifier invoked whenever the durability watermark advances, on the
+/// thread whose pass advanced it, with the new
+/// [`GroupCommitWal::durable_lsn`] value. The serve actor installs one
+/// that sends the client replies withheld until their records are
+/// durable.
 pub type CommitNotifier = Arc<dyn Fn(u64) + Send + Sync>;
 
-/// One unit of ordered work for the syncer.
+/// One unit of ordered work for a commit pass.
 enum Task {
     /// Append `record` (its LSN was assigned at enqueue time and the
-    /// `Wal` will reproduce it). `awaited` is `false` for a record
-    /// nobody waits on, which alone does not make its batch publish;
-    /// `enqueued` feeds the commit-latency observer.
+    /// `Wal` will reproduce it). `awaited` is when someone began
+    /// waiting on it (its enqueue), for the commit-latency observer;
+    /// `None` for a record nobody waits on, which alone does not make a
+    /// syncer pass publish.
     Append {
         record: Record,
-        enqueued: Instant,
-        awaited: bool,
+        awaited: Option<Instant>,
     },
     /// Close the current segment and start a fresh one.
     Rotate,
@@ -113,6 +122,10 @@ enum Task {
 
 struct State {
     queue: VecDeque<Task>,
+    /// The previous pass's drained batch, kept for its capacity: a pass
+    /// swaps it in for the queue, so steady-state passes allocate
+    /// nothing.
+    spare: VecDeque<Task>,
     /// The LSN the next append will receive — always equal to the
     /// `Wal`'s `next_seq` plus the queued appends.
     next_lsn: u64,
@@ -120,40 +133,52 @@ struct State {
     /// its ticket.
     barriers_issued: u64,
     barriers_done: u64,
-    /// One past the newest LSN the syncer will publish unasked: the
-    /// newest awaited append, barrier or registered wait. A
-    /// `wait_durable` below it needs no extra sync.
-    awaited_end: u64,
-    /// When a `wait_durable` on an unawaited record registered its
-    /// need: the syncer's next pass publishes even if it writes nothing
-    /// awaited.
-    sync_wanted: Option<Instant>,
+    /// Records written by earlier passes but not yet published
+    /// (unawaited ones waiting for a pass that publishes).
+    unpublished: usize,
+    /// A commit pass is running; no other may start.
+    committing: bool,
+    /// Callers parked on `progress_cv`; a pass wakes them only if any.
+    parked: usize,
     /// First storage error; poisons the pipeline.
     error: Option<StoreError>,
     shutdown: bool,
+}
+
+/// What a commit pass writes with and reports to: the log, the pass's
+/// reusable run buffer and the installed hooks. Apart from installing
+/// a hook, only the thread running the pass locks it (taken after
+/// `state` is released, held to the end of the pass's callbacks), so
+/// the lock is uncontended; `None` once [`GroupCommitWal::close`] took
+/// the log.
+struct Committer {
+    wal: Wal,
+    run: Vec<Record>,
+    observer: Option<CommitObserver>,
+    notifier: Option<CommitNotifier>,
 }
 
 struct Shared {
     state: Mutex<State>,
     /// Signals the syncer: work queued or shutdown requested.
     work_cv: Condvar,
-    /// Signals callers: watermark advanced, barrier done, or error.
+    /// Signals parked callers: a pass ended (watermark advanced,
+    /// barrier done, error, or the pass slot is free again).
     progress_cv: Condvar,
     /// The durability watermark (count semantics: `lsn < durable` ⇒
-    /// durable per policy). Written only by the syncer while holding
+    /// durable per policy). Written only by a pass while holding
     /// `state`; read lock-free by anyone.
     durable: AtomicU64,
-    observer: Mutex<Option<CommitObserver>>,
-    notifier: Mutex<Option<CommitNotifier>>,
+    committer: Mutex<Option<Committer>>,
 }
 
-/// A [`Wal`](crate::wal::Wal) fronted by an in-memory commit queue and
-/// a dedicated syncer thread. See the [module docs](self) for the
-/// protocol.
+/// A [`Wal`](crate::wal::Wal) fronted by an in-memory commit queue,
+/// committed by blocked callers and a syncer thread. See the [module
+/// docs](self) for the protocol.
 pub struct GroupCommitWal {
     shared: Arc<Shared>,
     /// `Some` until [`close`](GroupCommitWal::close) joins it.
-    syncer: Option<JoinHandle<Wal>>,
+    syncer: Option<JoinHandle<()>>,
     policy: FsyncPolicy,
 }
 
@@ -177,19 +202,25 @@ impl GroupCommitWal {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
+                spare: VecDeque::new(),
                 next_lsn: next,
                 barriers_issued: 0,
                 barriers_done: 0,
-                awaited_end: next,
-                sync_wanted: None,
+                unpublished: 0,
+                committing: false,
+                parked: 0,
                 error: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             progress_cv: Condvar::new(),
             durable: AtomicU64::new(next),
-            observer: Mutex::new(None),
-            notifier: Mutex::new(None),
+            committer: Mutex::new(Some(Committer {
+                wal,
+                run: Vec::new(),
+                observer: None,
+                notifier: None,
+            })),
         });
         let for_thread = Arc::clone(&shared);
         // Counted on the spawning side so the liveness counter is
@@ -198,7 +229,7 @@ impl GroupCommitWal {
         LIVE_SYNCERS.fetch_add(1, Ordering::SeqCst);
         let syncer = std::thread::Builder::new()
             .name("fasea-commit-syncer".into())
-            .spawn(move || syncer_loop(wal, for_thread))
+            .spawn(move || syncer_loop(&for_thread))
             .inspect_err(|_| {
                 LIVE_SYNCERS.fetch_sub(1, Ordering::SeqCst);
             })
@@ -210,56 +241,64 @@ impl GroupCommitWal {
         }
     }
 
-    /// Installs (or clears) the per-batch metrics observer.
+    /// Installs (or clears) the per-pass metrics observer. Waits for a
+    /// running pass to finish its callbacks.
     pub fn set_commit_observer(&self, observer: Option<CommitObserver>) {
-        *self.shared.observer.lock().expect("observer poisoned") = observer;
+        self.with_committer(|c| c.observer = observer);
     }
 
-    /// Installs (or clears) the watermark-advance notifier.
+    /// Installs (or clears) the watermark-advance notifier. Waits for a
+    /// running pass to finish its callbacks.
     pub fn set_commit_notifier(&self, notifier: Option<CommitNotifier>) {
-        *self.shared.notifier.lock().expect("notifier poisoned") = notifier;
+        self.with_committer(|c| c.notifier = notifier);
+    }
+
+    fn with_committer(&self, f: impl FnOnce(&mut Committer)) {
+        let mut guard = self.shared.committer.lock().expect("committer poisoned");
+        f(guard.as_mut().expect("group commit log closed"))
     }
 
     /// Enqueues one record for the syncer and returns its LSN — the
     /// exact sequence number the underlying `Wal` will assign. The
     /// record is **not yet durable**; acknowledge it only once
     /// [`durable_lsn`](GroupCommitWal::durable_lsn) exceeds the
-    /// returned LSN. Its batch is fsynced (per policy) and published.
+    /// returned LSN. Its pass is fsynced (per policy) and published.
     ///
     /// # Errors
-    /// The pipeline's poisoning error, if a previous batch failed.
+    /// The pipeline's poisoning error, if a previous pass failed.
     pub fn append(&self, record: Record) -> Result<u64, StoreError> {
-        self.push_append(record, true)
+        self.enqueue_append(record, Some(Instant::now()))
     }
 
     /// Like [`append`](GroupCommitWal::append), for a record nobody
     /// acknowledges on its own: it is written at once but made durable
-    /// only with the next publishing batch (see the [module
+    /// only with the next publishing pass (see the [module
     /// docs](self)). A [`wait_durable`](GroupCommitWal::wait_durable)
     /// on its LSN still returns once it is durable.
     ///
     /// # Errors
-    /// The pipeline's poisoning error, if a previous batch failed.
+    /// The pipeline's poisoning error, if a previous pass failed.
     pub fn append_unawaited(&self, record: Record) -> Result<u64, StoreError> {
-        self.push_append(record, false)
+        self.enqueue_append(record, None)
     }
 
-    fn push_append(&self, record: Record, awaited: bool) -> Result<u64, StoreError> {
+    /// Appends one record and blocks until it is durable, returning its
+    /// LSN. The syncer is not woken: the caller runs the commit pass on
+    /// its own thread (see the [module docs](self)).
+    ///
+    /// # Errors
+    /// The pipeline's poisoning error — the record may or may not have
+    /// reached disk and the caller must *not* acknowledge it.
+    pub fn commit(&self, record: Record) -> Result<u64, StoreError> {
+        let since = Instant::now();
         let mut st = self.lock_state();
-        if let Some(e) = &st.error {
-            return Err(e.clone());
-        }
-        let lsn = st.next_lsn;
-        st.next_lsn += 1;
-        if awaited {
-            st.awaited_end = st.next_lsn;
-        }
-        st.queue.push_back(Task::Append {
-            record,
-            enqueued: Instant::now(),
-            awaited,
-        });
-        drop(st);
+        let lsn = push_append(&mut st, record, Some(since))?;
+        self.wait_until(st, since, |st, durable| durable > lsn || st.error.is_some())?;
+        Ok(lsn)
+    }
+
+    fn enqueue_append(&self, record: Record, awaited: Option<Instant>) -> Result<u64, StoreError> {
+        let lsn = push_append(&mut self.lock_state(), record, awaited)?;
         self.shared.work_cv.notify_one();
         Ok(lsn)
     }
@@ -268,7 +307,7 @@ impl GroupCommitWal {
     /// queued.
     ///
     /// # Errors
-    /// The pipeline's poisoning error, if a previous batch failed.
+    /// The pipeline's poisoning error, if a previous pass failed.
     pub fn rotate(&self) -> Result<(), StoreError> {
         self.enqueue_maintenance(Task::Rotate)
     }
@@ -277,7 +316,7 @@ impl GroupCommitWal {
     /// everything already queued.
     ///
     /// # Errors
-    /// The pipeline's poisoning error, if a previous batch failed.
+    /// The pipeline's poisoning error, if a previous pass failed.
     pub fn compact_below(&self, seq: u64) -> Result<(), StoreError> {
         self.enqueue_maintenance(Task::CompactBelow(seq))
     }
@@ -302,28 +341,17 @@ impl GroupCommitWal {
     /// # Errors
     /// The pipeline's poisoning error.
     pub fn sync_barrier(&self) -> Result<(), StoreError> {
+        let since = Instant::now();
         let mut st = self.lock_state();
         if let Some(e) = &st.error {
             return Err(e.clone());
         }
         st.barriers_issued += 1;
         let ticket = st.barriers_issued;
-        st.awaited_end = st.next_lsn;
-        st.queue.push_back(Task::SyncBarrier {
-            enqueued: Instant::now(),
-        });
-        self.shared.work_cv.notify_one();
-        while st.barriers_done < ticket {
-            if let Some(e) = &st.error {
-                return Err(e.clone());
-            }
-            st = self
-                .shared
-                .progress_cv
-                .wait(st)
-                .expect("group commit state poisoned");
-        }
-        Ok(())
+        st.queue.push_back(Task::SyncBarrier { enqueued: since });
+        self.wait_until(st, since, |st, _| {
+            st.barriers_done >= ticket || st.error.is_some()
+        })
     }
 
     /// The durability watermark: every record whose LSN is *strictly
@@ -348,83 +376,106 @@ impl GroupCommitWal {
         self.policy
     }
 
-    /// The pipeline's poisoning error, if any batch has failed.
+    /// The pipeline's poisoning error, if any pass has failed.
     pub fn error(&self) -> Option<StoreError> {
         self.lock_state().error.clone()
     }
 
     /// Blocks until `lsn` is covered by the watermark (`durable_lsn() >
-    /// lsn`) and returns the watermark. If nothing the syncer will
-    /// publish on its own covers `lsn` (it is an
-    /// [unawaited](GroupCommitWal::append_unawaited) record), this
-    /// registers the need and wakes the syncer.
+    /// lsn`) and returns the watermark, running the commit pass on this
+    /// thread if no pass is running — which also publishes a record
+    /// nobody else waits on.
     ///
     /// # Errors
     /// The pipeline's poisoning error — in that case the record may or
     /// may not have reached disk and the caller must *not* acknowledge
     /// it.
+    ///
+    /// # Panics
+    /// If `lsn` was never handed out by an append.
     pub fn wait_durable(&self, lsn: u64) -> Result<u64, StoreError> {
         // Fast path: already covered.
         let seen = self.durable_lsn();
         if seen > lsn {
             return Ok(seen);
         }
-        let mut st = self.lock_state();
-        loop {
-            // `durable` is only stored while `state` is held, so
-            // re-checking under the lock cannot miss a wakeup.
-            let seen = self.durable_lsn();
-            if seen > lsn {
-                return Ok(seen);
+        let st = self.lock_state();
+        assert!(lsn < st.next_lsn, "wait_durable on unassigned LSN {lsn}");
+        self.wait_until(st, Instant::now(), |st, durable| {
+            durable > lsn || st.error.is_some()
+        })?;
+        Ok(self.durable_lsn())
+    }
+
+    /// The caller-runs loop behind every blocking call: until `done`
+    /// holds (given the state and the watermark), run the commit pass
+    /// here whenever none is running, else park until the running one
+    /// ends. `since` is when the caller began waiting. Returns the
+    /// pipeline's error if it is poisoned once `done` holds.
+    fn wait_until<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        since: Instant,
+        done: impl Fn(&State, u64) -> bool,
+    ) -> Result<(), StoreError> {
+        // `durable` is only stored while `state` is held, so checking it
+        // under the lock cannot miss a wakeup.
+        while !done(&st, self.durable_lsn()) {
+            if st.committing {
+                st.parked += 1;
+                st = self
+                    .shared
+                    .progress_cv
+                    .wait(st)
+                    .expect("group commit state poisoned");
+                st.parked -= 1;
+            } else {
+                commit_pass(&self.shared, st, Some(since));
+                st = self.lock_state();
             }
-            if let Some(e) = &st.error {
-                return Err(e.clone());
-            }
-            if lsn >= st.awaited_end {
-                st.awaited_end = lsn + 1;
-                st.sync_wanted.get_or_insert_with(Instant::now);
-                self.shared.work_cv.notify_one();
-            }
-            st = self
-                .shared
-                .progress_cv
-                .wait(st)
-                .expect("group commit state poisoned");
+        }
+        match &st.error {
+            None => Ok(()),
+            Some(e) => Err(e.clone()),
         }
     }
 
     /// Shuts the pipeline down: the syncer drains everything still
     /// queued (unless already poisoned), publishes it — unawaited
     /// records included — with the fsync policy applied, and hands the
-    /// `Wal` back for synchronous use (final snapshot, close protocol).
+    /// `Wal` back for synchronous use.
     ///
     /// # Errors
     /// The pipeline's poisoning error. The `Wal` is dropped in that
-    /// case — per the PR 1 rule, the safe continuation after a storage
-    /// failure is to re-open and recover from disk, not to keep
-    /// appending to a writer of unknown state.
+    /// case — the safe continuation after a storage failure is to
+    /// re-open and recover from disk, not to keep appending to a writer
+    /// of unknown state.
     pub fn close(mut self) -> Result<Wal, StoreError> {
-        let wal = self.join_syncer();
-        match self.lock_state().error.clone() {
-            None => Ok(wal),
-            Some(e) => Err(e),
+        self.join_syncer();
+        if let Some(e) = self.lock_state().error.clone() {
+            return Err(e);
         }
+        let committer = self
+            .shared
+            .committer
+            .lock()
+            .expect("committer poisoned")
+            .take()
+            .expect("group commit log closed twice");
+        Ok(committer.wal)
     }
 
-    fn join_syncer(&mut self) -> Wal {
-        {
-            let mut st = self.lock_state();
-            st.shutdown = true;
-        }
+    fn join_syncer(&mut self) {
+        self.lock_state().shutdown = true;
         self.shared.work_cv.notify_all();
         self.syncer
             .take()
             .expect("syncer already joined")
             .join()
-            .expect("commit syncer panicked")
+            .expect("commit syncer panicked");
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, State> {
+    fn lock_state(&self) -> MutexGuard<'_, State> {
         self.shared
             .state
             .lock()
@@ -437,17 +488,31 @@ impl Drop for GroupCommitWal {
         if self.syncer.is_some() {
             // Not closed explicitly: still drain and join so nothing
             // queued is silently lost and no thread leaks.
-            let _ = self.join_syncer();
+            self.join_syncer();
         }
     }
 }
 
-/// The syncer thread: drains the queue in whole batches, writes each
-/// run of appends with one write, and — when the batch holds anything
-/// someone waits on — applies the fsync policy once and publishes the
-/// watermark. Returns the `Wal` at shutdown so `close()` can hand it
-/// back.
-fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
+/// Assigns `record` the next LSN and queues it (without waking
+/// anyone).
+fn push_append(
+    st: &mut State,
+    record: Record,
+    awaited: Option<Instant>,
+) -> Result<u64, StoreError> {
+    if let Some(e) = &st.error {
+        return Err(e.clone());
+    }
+    let lsn = st.next_lsn;
+    st.next_lsn += 1;
+    st.queue.push_back(Task::Append { record, awaited });
+    Ok(lsn)
+}
+
+/// The syncer thread: runs a commit pass whenever work is queued and no
+/// caller is running one; at shutdown it drains the queue and publishes
+/// whatever is still unpublished before returning.
+fn syncer_loop(shared: &Shared) {
     struct LiveGuard;
     impl Drop for LiveGuard {
         fn drop(&mut self) {
@@ -457,153 +522,169 @@ fn syncer_loop(mut wal: Wal, shared: Arc<Shared>) -> Wal {
     // The matching increment happened in `GroupCommitWal::spawn`.
     let _live = LiveGuard;
 
-    let mut batch: Vec<Task> = Vec::new();
-    let mut run: Vec<Record> = Vec::new();
-    // Records written but not yet published (unawaited ones waiting
-    // for a batch that publishes).
-    let mut unpublished = 0usize;
+    let mut st = shared.state.lock().expect("group commit state poisoned");
     loop {
-        // Wait for work; on shutdown keep draining, then publish
-        // whatever is still unpublished, before returning.
-        let (wanted, closing) = {
-            let mut st = shared.state.lock().expect("group commit state poisoned");
-            loop {
-                if st.error.is_some() {
-                    // Poisoned: drop the queue (nothing was acked) and
-                    // park until shutdown.
-                    st.queue.clear();
-                    st.sync_wanted = None;
-                } else if !st.queue.is_empty()
-                    || st.sync_wanted.is_some()
-                    || (st.shutdown && unpublished > 0)
-                {
-                    break;
-                }
-                if st.shutdown {
-                    return wal;
-                }
-                st = shared
-                    .work_cv
-                    .wait(st)
-                    .expect("group commit state poisoned");
-            }
-            batch.extend(st.queue.drain(..));
-            (st.sync_wanted.take(), st.shutdown)
-        };
-
-        // The oldest wait this batch answers, if any: its awaited
-        // appends, its barriers, or a registered `wait_durable`.
-        let mut waited_since = wanted;
-        let mut appended = 0usize;
-        let mut barriers = 0u64;
-        let mut outcome: Result<(), StoreError> = Ok(());
-        for task in batch.drain(..) {
-            if outcome.is_err() {
-                continue;
-            }
-            outcome = match task {
-                Task::Append {
-                    record,
-                    enqueued,
-                    awaited,
-                } => {
-                    if awaited {
-                        waited_since = earliest(waited_since, enqueued);
-                    }
-                    run.push(record);
-                    Ok(())
-                }
-                Task::Rotate => {
-                    write_run(&mut wal, &mut run, &mut appended).and_then(|()| wal.rotate())
-                }
-                Task::CompactBelow(seq) => write_run(&mut wal, &mut run, &mut appended)
-                    .and_then(|()| wal.compact_below(seq).map(|_| ())),
-                Task::SyncBarrier { enqueued } => {
-                    waited_since = earliest(waited_since, enqueued);
-                    write_run(&mut wal, &mut run, &mut appended).and_then(|()| {
-                        wal.sync().map(|()| {
-                            barriers += 1;
-                        })
-                    })
-                }
-            };
-        }
-        if outcome.is_ok() {
-            outcome = write_run(&mut wal, &mut run, &mut appended);
-        }
-        run.clear();
-        unpublished += appended;
-        let publish = waited_since.is_some() || closing;
-        if outcome.is_ok() && !publish {
-            // Only unawaited records: written, left for the next
-            // publishing batch to fsync.
+        if st.error.is_some() {
+            // Poisoned: drop the queue (nothing in it was acked) and
+            // park until shutdown.
+            st.queue.clear();
+        } else if !st.committing && (!st.queue.is_empty() || (st.shutdown && st.unpublished > 0)) {
+            commit_pass(shared, st, None);
+            st = shared.state.lock().expect("group commit state poisoned");
             continue;
         }
-        if outcome.is_ok() && unpublished > 0 {
-            // One policy application for the whole batch: this is the
-            // group commit — N records, at most one fsync.
-            outcome = wal.apply_fsync_policy();
+        if st.shutdown && !st.committing {
+            return;
         }
+        st = shared
+            .work_cv
+            .wait(st)
+            .expect("group commit state poisoned");
+    }
+}
 
-        let watermark = wal.next_seq();
-        let published = {
-            let mut st = shared.state.lock().expect("group commit state poisoned");
-            match &outcome {
-                Ok(()) => {
-                    // `Always` reached here post-fsync; `EveryN`/`Never`
-                    // post-write — exactly the per-policy durability
-                    // point the synchronous path acknowledged at.
-                    shared.durable.store(watermark, Ordering::Release);
-                    st.barriers_done += barriers;
-                    true
+/// One commit pass — the only code that touches the `Wal` while the
+/// pipeline is open; `State::committing` keeps it exclusive. It takes
+/// everything queued, writes each run of appends with one write, and —
+/// when the batch holds anything someone waits on, a blocked caller
+/// runs it (`caller` = when that caller began waiting), or the
+/// pipeline is closing — applies the fsync policy once and publishes
+/// the watermark. The syncer runs it with `caller = None`. The
+/// observer and notifier run before the next pass may write, so they
+/// see the watermark advance in order whichever threads ran the passes.
+fn commit_pass(shared: &Shared, mut st: MutexGuard<'_, State>, caller: Option<Instant>) {
+    st.committing = true;
+    let closing = st.shutdown;
+    let mut unpublished = st.unpublished;
+    let spare = std::mem::take(&mut st.spare);
+    let mut batch = std::mem::replace(&mut st.queue, spare);
+    drop(st);
+    let mut guard = shared.committer.lock().expect("committer poisoned");
+    let Committer {
+        wal,
+        run,
+        observer,
+        notifier,
+    } = guard.as_mut().expect("commit pass after close");
+
+    // The oldest wait this pass answers, if any: its caller's, its
+    // awaited appends' or its barriers'.
+    let mut waited_since = caller;
+    let mut barriers = 0u64;
+    let mut outcome: Result<(), StoreError> = Ok(());
+    for task in batch.drain(..) {
+        if outcome.is_err() {
+            continue;
+        }
+        outcome = match task {
+            Task::Append { record, awaited } => {
+                if let Some(enqueued) = awaited {
+                    waited_since = earliest(waited_since, enqueued);
                 }
-                Err(e) => {
-                    st.error = Some(e.clone());
-                    false
-                }
+                run.push(record);
+                Ok(())
+            }
+            Task::Rotate => write_run(wal, run, &mut unpublished).and_then(|()| wal.rotate()),
+            Task::CompactBelow(seq) => write_run(wal, run, &mut unpublished)
+                .and_then(|()| wal.compact_below(seq).map(|_| ())),
+            Task::SyncBarrier { enqueued } => {
+                waited_since = earliest(waited_since, enqueued);
+                write_run(wal, run, &mut unpublished).and_then(|()| {
+                    wal.sync().map(|()| {
+                        barriers += 1;
+                    })
+                })
             }
         };
-        shared.progress_cv.notify_all();
+    }
+    if outcome.is_ok() {
+        outcome = write_run(wal, run, &mut unpublished);
+    }
+    run.clear();
+    let publish = waited_since.is_some() || closing;
+    if outcome.is_ok() && publish && unpublished > 0 {
+        // One policy application for the whole batch: this is the
+        // group commit — N records, at most one fsync.
+        outcome = wal.apply_fsync_policy();
+    }
+    let watermark = wal.next_seq();
 
-        if published {
-            let records = std::mem::take(&mut unpublished);
-            if records > 0 {
-                let observer = shared.observer.lock().expect("observer poisoned").clone();
-                if let Some(obs) = observer {
-                    let latency = waited_since.map_or(Duration::ZERO, |at| at.elapsed());
-                    obs(records, latency);
-                }
-            }
-            let notifier = shared.notifier.lock().expect("notifier poisoned").clone();
-            if let Some(notify) = notifier {
-                notify(watermark);
+    let mut st = shared.state.lock().expect("group commit state poisoned");
+    st.committing = false;
+    st.spare = batch;
+    let published = match &outcome {
+        Ok(()) if publish => {
+            // `Always` reached here post-fsync; `EveryN`/`Never`
+            // post-write — the per-policy durability point.
+            shared.durable.store(watermark, Ordering::Release);
+            st.barriers_done += barriers;
+            st.unpublished = 0;
+            true
+        }
+        Ok(()) => {
+            // Only unawaited records: written, left for the next
+            // publishing pass to fsync.
+            st.unpublished = unpublished;
+            false
+        }
+        Err(e) => {
+            st.error = Some(e.clone());
+            false
+        }
+    };
+    let wake_parked = st.parked > 0;
+    // Work queued behind a caller's pass is the syncer's to commit.
+    let wake_syncer = caller.is_some() && (!st.queue.is_empty() || st.shutdown);
+    drop(st);
+    if wake_parked {
+        shared.progress_cv.notify_all();
+    }
+    if wake_syncer {
+        shared.work_cv.notify_one();
+    }
+
+    if published {
+        if unpublished > 0 {
+            if let Some(observe) = observer {
+                let latency = waited_since.map_or(Duration::ZERO, |at| at.elapsed());
+                observe(unpublished, latency);
             }
         }
+        if let Some(notify) = notifier {
+            notify(watermark);
+        }
     }
+    drop(guard);
 }
 
 fn earliest(a: Option<Instant>, b: Instant) -> Option<Instant> {
     Some(a.map_or(b, |a| a.min(b)))
 }
 
-/// Writes the pending run of appends with one write and counts them.
-fn write_run(wal: &mut Wal, run: &mut Vec<Record>, appended: &mut usize) -> Result<(), StoreError> {
+/// Writes the pending run of appends with one write and counts them as
+/// unpublished.
+fn write_run(
+    wal: &mut Wal,
+    run: &mut Vec<Record>,
+    unpublished: &mut usize,
+) -> Result<(), StoreError> {
     if run.is_empty() {
         return Ok(());
     }
     let first = wal.next_seq();
     wal.append_all_unsynced(run.iter())?;
-    // LSN-order invariant: `append` promised each caller `next_lsn` at
-    // enqueue time, which is only honest if the single-writer syncer
-    // sees a dense FIFO queue — the run must occupy exactly the next
-    // `run.len()` sequence numbers. Served rounds are acked off these
-    // LSNs, so drift here would silently reorder acked durability.
+    // LSN-order invariant: every append was promised `next_lsn` at
+    // enqueue time, which is only honest if passes are exclusive and
+    // each takes a dense FIFO prefix of the queue — the run must occupy
+    // exactly the next `run.len()` sequence numbers. Served rounds are
+    // acked off these LSNs, so drift here would silently reorder acked
+    // durability.
     debug_assert_eq!(
         wal.next_seq(),
         first + run.len() as u64,
         "group-commit WAL assigned a non-dense sequence"
     );
-    *appended += run.len();
+    *unpublished += run.len();
     run.clear();
     Ok(())
 }
@@ -715,41 +796,6 @@ mod tests {
         drop(wal);
         let (records, _, _) = crate::wal::scan(&dir, 7).unwrap();
         assert_eq!(records.len(), 100);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn concurrent_appenders_get_distinct_ordered_lsns() {
-        let dir = tmp("concurrent");
-        let group = Arc::new(GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Never)));
-        let mut handles = Vec::new();
-        for worker in 0..4u64 {
-            let g = Arc::clone(&group);
-            handles.push(std::thread::spawn(move || {
-                let mut lsns = Vec::new();
-                for i in 0..25u64 {
-                    lsns.push(g.append(feedback(worker * 100 + i, 1)).unwrap());
-                }
-                lsns
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..100).collect();
-        assert_eq!(all, expect, "LSNs must be dense and unique");
-        group.wait_durable(99).unwrap();
-        let group = Arc::try_unwrap(group).expect("sole owner");
-        let wal = group.close().unwrap();
-        // On-disk sequence numbers are the assigned LSNs, gap-free.
-        assert_eq!(wal.next_seq(), 100);
-        drop(wal);
-        let (records, _, _) = crate::wal::scan(&dir, 7).unwrap();
-        for (i, (seq, _)) in records.iter().enumerate() {
-            assert_eq!(*seq, i as u64);
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -902,6 +948,181 @@ mod tests {
         assert_eq!(group.durable_lsn(), 1, "the failed record was published");
         assert_eq!(group.error(), Some(err.clone()));
         assert_eq!(group.append(feedback(2, 2)).unwrap_err(), err);
+        assert_eq!(group.close().unwrap_err(), err);
+        let (found, _, _) = crate::wal::scan(&dir, 7).unwrap();
+        assert_eq!(found, vec![(0, feedback(0, 2))]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every segment file in `dir`, in name (= sequence) order, with
+    /// its bytes.
+    fn segment_bytes(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+            .into_iter()
+            .map(|p| {
+                (
+                    p.file_name().unwrap().to_owned(),
+                    std::fs::read(&p).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_lone_blocking_append_commits_on_the_callers_thread() {
+        let dir = tmp("caller-runs");
+        let group = GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let r = Arc::clone(&ran_on);
+        group.set_commit_observer(Some(Arc::new(move |n, _latency| {
+            r.lock().unwrap().push((n, std::thread::current().id()));
+        })));
+        let me = std::thread::current().id();
+        for t in 0..5u64 {
+            let lsn = group.commit(feedback(t, 2)).unwrap();
+            assert_eq!(lsn, t);
+            assert!(group.durable_lsn() > lsn, "commit returned before durable");
+        }
+        // Each commit published its own record, on this thread, before
+        // it returned: no pass was left to the syncer.
+        assert_eq!(*ran_on.lock().unwrap(), vec![(1, me); 5]);
+        let wal = group.close().unwrap();
+        assert_eq!(wal.fsyncs(), 5, "one fsync per lone blocking append");
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_appenders_get_distinct_ordered_lsns() {
+        const PER_THREAD: u64 = 40;
+        let dir = tmp("mixed");
+        let group = Arc::new(GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Never)));
+        let notified = Arc::new(Mutex::new(Vec::new()));
+        let n = Arc::clone(&notified);
+        group.set_commit_notifier(Some(Arc::new(move |durable| {
+            n.lock().unwrap().push(durable);
+        })));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sampler = {
+            let (g, stop) = (Arc::clone(&group), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut seen = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    let now = g.durable_lsn();
+                    assert!(now >= seen, "watermark went back from {seen} to {now}");
+                    seen = now;
+                }
+            })
+        };
+        // Two blocking appenders, one awaited and one unawaited deferred
+        // appender; the deferred ones wait on every fifth record.
+        let workers: Vec<_> = (0..4u64)
+            .map(|worker| {
+                let g = Arc::clone(&group);
+                std::thread::spawn(move || {
+                    let mut logged = Vec::new();
+                    for i in 0..PER_THREAD {
+                        let record = feedback(worker * 1000 + i, 1 + (i % 5) as usize);
+                        let lsn = match worker {
+                            0 | 1 => g.commit(record.clone()).unwrap(),
+                            2 => g.append(record.clone()).unwrap(),
+                            _ => g.append_unawaited(record.clone()).unwrap(),
+                        };
+                        if worker >= 2 && i % 5 == 4 {
+                            assert!(g.wait_durable(lsn).unwrap() > lsn);
+                        }
+                        logged.push((lsn, record));
+                    }
+                    logged
+                })
+            })
+            .collect();
+        let mut logged: Vec<(u64, Record)> = workers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        stop.store(true, Ordering::SeqCst);
+        sampler.join().unwrap();
+        logged.sort_by_key(|(lsn, _)| *lsn);
+        let lsns: Vec<u64> = logged.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(
+            lsns,
+            (0..4 * PER_THREAD).collect::<Vec<_>>(),
+            "LSNs not dense"
+        );
+        let group = Arc::try_unwrap(group).expect("sole owner");
+        assert_eq!(group.close().unwrap().next_seq(), 4 * PER_THREAD);
+        let notified = notified.lock().unwrap().clone();
+        assert!(
+            notified.windows(2).all(|w| w[0] <= w[1]),
+            "notifier saw the watermark out of order: {notified:?}"
+        );
+
+        // The same records, one `Wal::append` each, in LSN order.
+        let dir2 = tmp("mixed-direct");
+        let mut direct = open_wal(&dir2, FsyncPolicy::Never);
+        for (_, record) in &logged {
+            direct.append(record).unwrap();
+        }
+        drop(direct);
+        assert_eq!(segment_bytes(&dir), segment_bytes(&dir2));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn a_failed_caller_run_pass_poisons_every_waiter() {
+        let dir = tmp("caller-poison");
+        let group = Arc::new(GroupCommitWal::spawn(open_wal(&dir, FsyncPolicy::Always)));
+        group.commit(feedback(0, 2)).unwrap();
+        // Hold the log so the next pass stalls once it has started.
+        let held = group.shared.committer.lock().unwrap();
+        // No reader accepts a frame this large, so the write is refused.
+        let huge = Record::Feedback {
+            t: 1,
+            accepts: vec![true; crate::record::MAX_PAYLOAD as usize + 1],
+        };
+        let runner = {
+            let g = Arc::clone(&group);
+            std::thread::spawn(move || g.commit(huge))
+        };
+        while !group.lock_state().committing {
+            std::thread::yield_now();
+        }
+        // Two callers park behind the stalled pass: a deferred append
+        // waited on, and a barrier.
+        let appender = {
+            let g = Arc::clone(&group);
+            std::thread::spawn(move || {
+                let lsn = g.append(feedback(2, 2))?;
+                g.wait_durable(lsn)
+            })
+        };
+        let barrier = {
+            let g = Arc::clone(&group);
+            std::thread::spawn(move || g.sync_barrier())
+        };
+        while group.lock_state().parked < 2 {
+            std::thread::yield_now();
+        }
+        drop(held);
+
+        let err = runner.join().unwrap().unwrap_err();
+        assert!(
+            matches!(err, StoreError::Io { kind, .. } if kind == std::io::ErrorKind::InvalidInput),
+            "{err:?}"
+        );
+        assert_eq!(appender.join().unwrap().unwrap_err(), err);
+        assert_eq!(barrier.join().unwrap().unwrap_err(), err);
+        assert_eq!(group.durable_lsn(), 1, "the failed record was published");
+        assert_eq!(group.commit(feedback(3, 2)).unwrap_err(), err);
+        assert_eq!(group.append(feedback(3, 2)).unwrap_err(), err);
+        let group = Arc::try_unwrap(group).expect("sole owner");
         assert_eq!(group.close().unwrap_err(), err);
         let (found, _, _) = crate::wal::scan(&dir, 7).unwrap();
         assert_eq!(found, vec![(0, feedback(0, 2))]);

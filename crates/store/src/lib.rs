@@ -19,11 +19,13 @@
 //!   is reported, never silently skipped. Segment headers carry an
 //!   instance fingerprint so a log can never be replayed into the
 //!   wrong service.
-//! * [`group`] — a group-commit pipeline over the WAL: appends land in
-//!   an in-memory commit queue tagged with a monotone LSN, a dedicated
-//!   syncer thread writes + fsyncs whole batches, and a `durable_lsn`
-//!   watermark tells callers when a record may be acknowledged. N
-//!   concurrent producers share one fsync instead of paying one each.
+//! * [`group`] — the group-commit pipeline every durable service writes
+//!   its WAL through: appends land in an in-memory commit queue tagged
+//!   with a monotone LSN, a commit pass (run by a blocked caller on its
+//!   own thread, or by the syncer thread) writes + fsyncs whole batches,
+//!   and a `durable_lsn` watermark tells callers when a record may be
+//!   acknowledged. N concurrent producers share one fsync instead of
+//!   paying one each.
 //! * [`snapshot`] — a full point-in-time image of the service (round
 //!   counter, remaining capacities, regret accounting, the pending
 //!   proposal if any, and an opaque policy-state blob), written via
@@ -40,6 +42,7 @@
 //! and from domain types.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod crc;

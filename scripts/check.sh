@@ -93,6 +93,14 @@ echo "==> served stack: robustness, end-to-end, grant-ahead parity (release)"
 cargo test -q --release -p fasea-serve --test robustness
 cargo test -q --release --test serve_end_to_end --test pipeline_parity
 
+# The commit pipeline in the build the benchmark measures: every kill
+# matrix and the group-commit unit tests run the syncer and caller-runs
+# interleavings (a blocked caller commits on its own thread while the
+# syncer commits deferred appends), whose timing differs from debug.
+echo "==> store recovery kill matrices + group commit (release)"
+cargo test -q --release --test store_recovery
+cargo test -q --release -p fasea-store --lib group
+
 # Smoke the grant-ahead bench (~1s): exercises the serve depth 1 / 4
 # cells, the few-cores warning path, and each cell's closing STATS
 # assertion that no event ran out of capacity. The committed

@@ -56,6 +56,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// The FASEA problem model (re-export of `fasea-core`).
 pub use fasea_core as core;
